@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -556,6 +557,41 @@ func TestEngineWaitThenSubmitMore(t *testing.T) {
 	reports := e.Close()
 	if len(reports) != 2 || reports[1].Fails() != 1 {
 		t.Fatalf("second batch: %v", reports)
+	}
+}
+
+// TestEngineReportsIndexedByTraceID: with four workers finishing out of
+// submission order, every report sits at index TraceID in Wait, and
+// WaitReport returns the same report for each ID.
+func TestEngineReportsIndexedByTraceID(t *testing.T) {
+	e := NewEngine(Options{Workers: 4})
+	defer e.Close()
+	const n = 200
+	// Sizes vary so workers finish out of order; the op count and the
+	// number of failing checkers identify the trace in its report.
+	size := func(i int) int { return 1 + (i*37)%300 }
+	for i := 0; i < n; i++ {
+		ops := make([]trace.Op, 0, size(i)+i%3)
+		for j := 0; j < size(i); j++ {
+			ops = append(ops, write(uint64(j)*64, 8))
+		}
+		for j := 0; j < i%3; j++ {
+			ops = append(ops, isPersist(uint64(j)*64, 8))
+		}
+		e.Submit(mk(ops...))
+	}
+	reports := e.Wait()
+	if len(reports) != n {
+		t.Fatalf("got %d reports, want %d", len(reports), n)
+	}
+	for i, r := range reports {
+		if r.TraceID != i || r.Ops != size(i)+i%3 || r.Fails() != i%3 {
+			t.Fatalf("report at %d: id %d, %d ops, %d fails; want id %d, %d ops, %d fails",
+				i, r.TraceID, r.Ops, r.Fails(), i, size(i)+i%3, i%3)
+		}
+		if got := e.WaitReport(i); !reflect.DeepEqual(got, r) {
+			t.Fatalf("WaitReport(%d) = %+v, Wait has %+v", i, got, r)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,11 +222,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// task is one queued unit of checking work. enq carries the submit
+// task is one queued unit of checking work. id is the trace ID Submit
+// assigned, which is also the report's slot. enq carries the submit
 // timestamp for queue-wait measurement; it is zero when no observer is
 // installed.
 type task struct {
 	tr  *trace.Trace
+	id  int
 	enq time.Time
 }
 
@@ -247,11 +248,13 @@ type Engine struct {
 	mu        sync.Mutex
 	idle      sync.Cond // signaled when completed catches up to submitted
 	next      int
-	nextID    int
 	submitted int
 	completed int
-	reports   []Report
-	closed    bool
+	// reports holds each trace's report at index TraceID: Submit assigns
+	// IDs densely from 0 and reserves the slot, so the slice is always in
+	// trace order and len(reports) == submitted.
+	reports []Report
+	closed  bool
 }
 
 // NewEngine starts the worker pool and returns the engine.
@@ -311,7 +314,7 @@ func (e *Engine) worker(id int, q <-chan task) {
 			e.logTrace(lg, t, r, id)
 		}
 		e.mu.Lock()
-		e.reports = append(e.reports, r)
+		e.reports[tk.id] = r
 		e.completed++
 		if e.completed == e.submitted {
 			e.idle.Broadcast()
@@ -412,8 +415,9 @@ func (e *Engine) Submit(t *trace.Trace) {
 		e.mu.Unlock()
 		panic("core: Submit after Close")
 	}
-	t.ID = e.nextID
-	e.nextID++
+	id := e.submitted
+	t.ID = id
+	e.reports = append(e.reports, Report{})
 	w := e.next
 	e.next = (e.next + 1) % len(e.queues)
 	e.submitted++
@@ -421,11 +425,11 @@ func (e *Engine) Submit(t *trace.Trace) {
 
 	ob := e.opts.Observer
 	if ob == nil {
-		e.queues[w] <- task{tr: t}
+		e.queues[w] <- task{tr: t, id: id}
 		return
 	}
-	ob.TraceSubmitted(t.ID, t.Thread, len(t.Ops))
-	tk := task{tr: t, enq: time.Now()}
+	ob.TraceSubmitted(id, t.Thread, len(t.Ops))
+	tk := task{tr: t, id: id, enq: time.Now()}
 	select {
 	case e.queues[w] <- tk:
 	default:
@@ -470,15 +474,27 @@ func (e *Engine) StripeDepths() []int64 {
 func (e *Engine) Wait() []Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.waitIdleLocked()
+	return append([]Report(nil), e.reports...)
+}
+
+// WaitReport blocks until the engine is idle and returns the report of
+// trace id, which must be an ID Submit assigned. Unlike Wait it copies
+// nothing else, so a caller that acks one trace at a time (the pmtestd
+// node) pays the same per trace however long the session has run.
+func (e *Engine) WaitReport(id int) Report {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.waitIdleLocked()
+	return e.reports[id]
+}
+
+// waitIdleLocked waits, with e.mu held, until every submitted trace has
+// been checked.
+func (e *Engine) waitIdleLocked() {
 	for e.completed < e.submitted {
 		e.idle.Wait()
 	}
-	sort.Slice(e.reports, func(i, j int) bool {
-		return e.reports[i].TraceID < e.reports[j].TraceID
-	})
-	out := make([]Report, len(e.reports))
-	copy(out, e.reports)
-	return out
 }
 
 // Close drains outstanding work and stops the workers (PMTest_EXIT). The

@@ -49,6 +49,9 @@ type NodeConfig struct {
 	EpochGC bool
 
 	now func() time.Time // test hook
+	// lookedUp, when set, runs after a section request has looked up its
+	// session and before it takes the session lock (test hook).
+	lookedUp func(*nodeSession)
 }
 
 // Node hosts core-engine checking sessions behind the HTTP section
@@ -64,7 +67,8 @@ type Node struct {
 }
 
 // nodeSession is one hosted checking session: a dedicated engine plus
-// the sequence bookkeeping that makes section delivery idempotent.
+// the sequence bookkeeping that makes section delivery idempotent. The
+// engine holds the session's only copy of its reports.
 type nodeSession struct {
 	mu     sync.Mutex
 	engine *core.Engine
@@ -72,10 +76,23 @@ type nodeSession struct {
 	// engine's trace IDs are seq-base.
 	base uint64
 	// applied is the next seq expected. seq < applied replays the
-	// cached report; seq > applied is a gap (409).
+	// engine's report; seq > applied is a gap (409).
 	applied  uint64
-	reports  []core.Report // engine reports, refreshed after each check
 	lastUsed time.Time
+	// closed is set, under mu, before the engine is closed. A section
+	// handler that looked the session up before it left the node's map
+	// then answers 404 instead of submitting to a closed engine.
+	closed bool
+}
+
+// close marks the session closed and returns how many sections it
+// checked. Whoever removes a session from the node's map calls it once,
+// then closes the engine.
+func (s *nodeSession) close() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	return s.applied - s.base
 }
 
 // NewNode returns a node ready to mount: its ServeHTTP handles the
@@ -111,6 +128,7 @@ func (n *Node) Close() {
 	n.sessions = make(map[string]*nodeSession)
 	n.mu.Unlock()
 	for _, s := range sessions {
+		s.close()
 		s.engine.Close()
 	}
 }
@@ -170,6 +188,7 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 		// new replay window); the old engine's reports are already held
 		// client-side or will be re-checked.
 		delete(n.sessions, req.Session)
+		sess.close()
 		go sess.engine.Close()
 		sess = nil
 	}
@@ -242,7 +261,7 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := n.cfg.Limits.WithDefaults()
-	body, err := io.ReadAll(io.LimitReader(r.Body, lim.MaxBytes+1))
+	body, err := readBody(r, lim.MaxBytes+1)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading section: %v", err)
 		return
@@ -266,9 +285,19 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown session %q", sid)
 		return
 	}
+	if n.cfg.lookedUp != nil {
+		n.cfg.lookedUp(sess)
+	}
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.closed {
+		// A close, reap or superseding open ran since the lookup; to the
+		// client that is a lost session, which it reopens and replays.
+		rpcSpan.SetErr(true)
+		httpError(w, http.StatusNotFound, "session %q closed", sid)
+		return
+	}
 	sess.lastUsed = n.cfg.now()
 	switch {
 	case seq < sess.base:
@@ -304,17 +333,35 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 				"remote_session_id", sid, "remote_span_id", remoteSpan, "bytes", len(body))
 		}
 		sess.engine.Submit(tr)
-		sess.reports = sess.engine.Wait()
 		sess.applied++
 	default:
-		// Duplicate delivery (seq < applied) replays the cached report:
+		// Duplicate delivery (seq < applied) replays the engine's report:
 		// idempotent after a lost ack. Tagged so a span search can count
 		// redeliveries per session.
 		rpcSpan.SetInt("replay", 1)
 	}
-	rep := sess.reports[seq-sess.base]
+	rep := sess.engine.WaitReport(int(seq - sess.base))
 	rep.TraceID = int(seq)
 	writeJSON(w, rep)
+}
+
+// maxBodyPrealloc caps the buffer a section body reserves from its
+// Content-Length before any byte arrives, so a lying header cannot make
+// the node commit more than this up front.
+const maxBodyPrealloc = 64 << 10
+
+// readBody reads at most limit bytes of a section body into one buffer
+// sized from Content-Length, so a section arrives without io.ReadAll's
+// grow ramp. The MinRead spare bytes let the final read see EOF without
+// growing the buffer.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	var size int64
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyPrealloc)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, limit))
+	return buf.Bytes(), err
 }
 
 // handleReports serves the coordinator read path: every report this
@@ -333,14 +380,11 @@ func (n *Node) handleReports(w http.ResponseWriter, r *http.Request) {
 	n.mu.Unlock()
 	out := ReportsResponse{Session: sid, Reports: []core.Report{}}
 	if sess != nil {
-		sess.mu.Lock()
 		out.StartSeq = sess.base
-		out.Reports = make([]core.Report, len(sess.reports))
-		for i, rep := range sess.reports {
-			rep.TraceID = int(sess.base) + i
-			out.Reports[i] = rep
+		out.Reports = sess.engine.Wait()
+		for i := range out.Reports {
+			out.Reports[i].TraceID = int(out.StartSeq) + i
 		}
-		sess.mu.Unlock()
 	}
 	writeJSON(w, out)
 }
@@ -355,9 +399,7 @@ func (n *Node) handleClose(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown session %q", sid)
 		return
 	}
-	sess.mu.Lock()
-	count := sess.applied - sess.base
-	sess.mu.Unlock()
+	count := sess.close()
 	sess.engine.Close()
 	if lg := n.cfg.Logger; lg != nil {
 		lg.Info("dist session closed", "session", sid, "sections", count)
@@ -379,6 +421,7 @@ func (n *Node) sweepLocked() {
 		s.mu.Unlock()
 		if idle > n.cfg.SessionTTL {
 			delete(n.sessions, sid)
+			s.close()
 			go s.engine.Close()
 			if lg := n.cfg.Logger; lg != nil {
 				lg.Warn("dist session reaped", "session", sid, "idle", idle)

@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"bytes"
 	"io"
 	"testing"
 )
@@ -24,6 +25,33 @@ func TestEncodeAllocCeiling(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Fatalf("Encode: %.1f allocs/op, ceiling %v", allocs, ceiling)
+	}
+}
+
+// TestDecodeAllocCeiling pins allocs per decoded 38-op section held in
+// a *bytes.Reader: the trace, its op slice and the scratch buffer the
+// fixed-width op tails are read into. The decoder reads the in-memory
+// source directly; wrapping it in a bufio.Reader would add a 4 KiB
+// buffer per section.
+func TestDecodeAllocCeiling(t *testing.T) {
+	in := &Trace{ID: 7, Thread: 3}
+	for i := 0; i < 38; i++ {
+		in.Ops = append(in.Ops, Op{Kind: KindWrite, Addr: uint64(i) * 64, Size: 64})
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	var rd bytes.Reader
+	const ceiling = 3.0
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(buf.Bytes())
+		if _, err := Decode(&rd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("Decode: %.1f allocs/op, ceiling %v", allocs, ceiling)
 	}
 }
 

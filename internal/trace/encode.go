@@ -117,46 +117,45 @@ func Decode(r io.Reader) (*Trace, error) {
 	return DecodeLimited(r, DefaultLimits)
 }
 
+// byteReader is a source the decoder can read op by op without adding
+// buffering of its own: *bytes.Reader, *bufio.Reader and the like.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// opTailSize is the fixed wire size of an op after its kind byte; the
+// 28-byte stream header fits in the same scratch buffer.
+const opTailSize = opWireSize - 1
+
 // DecodeLimited reads one trace in the Encode format, refusing sections
 // that exceed the given limits with a *LimitError. Allocation is capped
 // independently of the wire length prefix: capacity is committed in
 // chunks as real input bytes arrive, so a corrupt or hostile prefix
 // cannot trigger a huge up-front allocation.
+//
+// A source that already implements io.ByteReader is read directly, so
+// decoding a section held in memory costs no read buffer and consumes
+// exactly the section's bytes; any other source is wrapped in a
+// bufio.Reader, which may read past the section.
 func DecodeLimited(r io.Reader, lim Limits) (*Trace, error) {
 	lim = lim.WithDefaults()
-	br := bufio.NewReader(r)
-	var scratch [8]byte
-	get32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
 	}
-	get64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:8]), nil
-	}
-	magic, err := get32()
-	if err != nil {
+	le := binary.LittleEndian
+	var buf [opTailSize]byte
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, err
 	}
-	if magic != encMagic {
+	if le.Uint32(buf[:4]) != encMagic {
 		return nil, ErrBadTrace
 	}
-	id, err := get64()
-	if err != nil {
+	if _, err := io.ReadFull(br, buf[:3*8]); err != nil {
 		return nil, ErrBadTrace
 	}
-	thread, err := get64()
-	if err != nil {
-		return nil, ErrBadTrace
-	}
-	n, err := get64()
-	if err != nil {
-		return nil, ErrBadTrace
-	}
+	id, thread, n := le.Uint64(buf[0:]), le.Uint64(buf[8:]), le.Uint64(buf[16:])
 	if n > uint64(lim.MaxOps) {
 		return nil, &LimitError{What: "ops", Got: n, Max: uint64(lim.MaxOps)}
 	}
@@ -179,35 +178,27 @@ func DecodeLimited(r io.Reader, lim Limits) (*Trace, error) {
 		if Kind(kind) >= kindMax || Kind(kind) == KindInvalid {
 			return nil, fmt.Errorf("trace: invalid op kind %d at op %d", kind, i)
 		}
-		var vals [4]uint64
-		for j := range vals {
-			if vals[j], err = get64(); err != nil {
-				return nil, ErrBadTrace
-			}
-		}
-		line, err := get32()
-		if err != nil {
+		// Addr, Size, Addr2, Size2, the line and the file-name length.
+		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, ErrBadTrace
 		}
-		if _, err := io.ReadFull(br, scratch[:2]); err != nil {
-			return nil, ErrBadTrace
-		}
-		fileLen := binary.LittleEndian.Uint16(scratch[:2])
+		fileLen := le.Uint16(buf[36:])
 		if wireBytes += opWireSize + int64(fileLen); wireBytes > lim.MaxBytes {
 			return nil, &LimitError{What: "bytes", Got: uint64(wireBytes), Max: uint64(lim.MaxBytes)}
 		}
 		var file string
 		if fileLen > 0 {
-			buf := make([]byte, fileLen)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			name := make([]byte, fileLen)
+			if _, err := io.ReadFull(br, name); err != nil {
 				return nil, ErrBadTrace
 			}
-			file = string(buf)
+			file = string(name)
 		}
 		t.Ops = append(t.Ops, Op{
 			Kind: Kind(kind),
-			Addr: vals[0], Size: vals[1], Addr2: vals[2], Size2: vals[3],
-			File: file, Line: int(line),
+			Addr: le.Uint64(buf[0:]), Size: le.Uint64(buf[8:]),
+			Addr2: le.Uint64(buf[16:]), Size2: le.Uint64(buf[24:]),
+			File: file, Line: int(le.Uint32(buf[32:])),
 		})
 	}
 	return t, nil

@@ -4,14 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"testing"
 )
+
+// plainReader hides every method but Read, so the decoder takes its
+// buffering path.
+type plainReader struct{ r io.Reader }
+
+func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
 
 // FuzzDecode: arbitrary bytes must never panic the decoder, and anything
 // it accepts must re-encode and re-decode to the same trace. The
 // tight-limit pass additionally proves hostile input cannot buy a large
 // allocation: whatever the length prefix claims, decoding under small
 // limits either succeeds within them or returns a typed *LimitError.
+// Both source paths are decoded under both limits and must agree: a
+// *bytes.Reader read directly and a plain io.Reader the decoder buffers
+// itself give identical traces or identical errors.
 func FuzzDecode(f *testing.F) {
 	var seed bytes.Buffer
 	Encode(&seed, &Trace{ID: 1, Thread: 2, Ops: []Op{
@@ -32,6 +44,14 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Hostile-input pass: tiny limits must hold whatever the bytes say.
 		lim := Limits{MaxOps: 8, MaxBytes: 1024}
+		for _, l := range []Limits{lim, DefaultLimits} {
+			direct, derr := DecodeLimited(bytes.NewReader(data), l)
+			buffered, berr := DecodeLimited(plainReader{bytes.NewReader(data)}, l)
+			if fmt.Sprint(derr) != fmt.Sprint(berr) || !reflect.DeepEqual(direct, buffered) {
+				t.Fatalf("limits %+v: direct decode (%v, %v) != buffered decode (%v, %v)",
+					l, direct, derr, buffered, berr)
+			}
+		}
 		if tr, err := DecodeLimited(bytes.NewReader(data), lim); err == nil {
 			if len(tr.Ops) > lim.MaxOps {
 				t.Fatalf("decode under MaxOps=%d returned %d ops", lim.MaxOps, len(tr.Ops))

@@ -198,7 +198,7 @@ type SharedRange = core.SharedRange
 
 // backend is the checking surface a session drives: the local
 // core.Engine or a dist.Session streaming to pmtestd nodes. Both assign
-// trace IDs in submit order and return reports sorted by them, which is
+// trace IDs in submit order and return reports indexed by them, which is
 // what keeps the two paths report-identical.
 type backend interface {
 	Submit(*trace.Trace)
