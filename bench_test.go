@@ -181,20 +181,21 @@ func BenchmarkAblationGranularity(b *testing.B) {
 }
 
 // BenchmarkAblationShadow: the interval-tree shadow memory vs a flat
-// per-byte map for identical operation streams (§4.4's O(log n) claim).
+// per-byte map for identical operation streams (§4.4's O(log n) claim),
+// and the treap vs interval.Map, the sorted slice the checker uses until
+// a map holds more than 1 024 segments (EXPERIMENTS.md, "Flat shadow
+// memory"). The front-insert arms hold n segments of the checker's size
+// and time one Set in front of all of them plus the Delete that undoes
+// it: the slice's worst case, and the reason the Map becomes a treap.
 func BenchmarkAblationShadow(b *testing.B) {
-	const ranges = 4096
 	b.Run("interval-tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr := interval.New[int]()
-			for j := 0; j < ranges; j++ {
-				lo := uint64(j%1024) * 256
-				tr.Set(lo, lo+256, j)
-			}
-			tr.Visit(0, 1024*256, func(interval.Seg[int]) bool { return true })
-		}
+		ablateReplace(b, func() shadowMap[int] { return interval.New[int]() })
+	})
+	b.Run("interval-map", func(b *testing.B) {
+		ablateReplace(b, func() shadowMap[int] { return interval.NewMap[int]() })
 	})
 	b.Run("byte-map", func(b *testing.B) {
+		const ranges = 4096
 		for i := 0; i < b.N; i++ {
 			m := make(map[uint64]int)
 			for j := 0; j < ranges; j++ {
@@ -209,6 +210,53 @@ func BenchmarkAblationShadow(b *testing.B) {
 			}
 		}
 	})
+	for _, n := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("front-insert/tree/%d", n), func(b *testing.B) {
+			ablateFrontInsert(b, interval.New[shadowStatus](), n)
+		})
+		b.Run(fmt.Sprintf("front-insert/map/%d", n), func(b *testing.B) {
+			ablateFrontInsert(b, interval.NewMap[shadowStatus](), n)
+		})
+	}
+}
+
+// shadowMap is the part of the interval-map API the shadow ablation
+// drives; interval.Tree and interval.Map both have it.
+type shadowMap[V any] interface {
+	Set(lo, hi uint64, v V)
+	Delete(lo, hi uint64)
+	Visit(lo, hi uint64, f func(interval.Seg[V]) bool)
+}
+
+// shadowStatus is as large as the checker's per-segment status, so a
+// slice of its segments moves as many bytes as the shadow memory's.
+type shadowStatus [8]uint64
+
+// ablateReplace sets 4096 ranges over 1024 slots of a fresh map, so three
+// of every four Sets replace a segment exactly, then visits them all.
+func ablateReplace(b *testing.B, newMap func() shadowMap[int]) {
+	const ranges = 4096
+	for i := 0; i < b.N; i++ {
+		tr := newMap()
+		for j := 0; j < ranges; j++ {
+			lo := uint64(j%1024) * 256
+			tr.Set(lo, lo+256, j)
+		}
+		tr.Visit(0, 1024*256, func(interval.Seg[int]) bool { return true })
+	}
+}
+
+// ablateFrontInsert fills m with n-1 segments above address 64, then
+// times inserting the n-th in front of them and deleting it again.
+func ablateFrontInsert(b *testing.B, m shadowMap[shadowStatus], n int) {
+	for k := 1; k < n; k++ {
+		m.Set(uint64(k)*64, uint64(k)*64+32, shadowStatus{uint64(k)})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Set(0, 32, shadowStatus{uint64(i)})
+		m.Delete(0, 32)
+	}
 }
 
 // BenchmarkEngineThroughput: raw checking-engine throughput on a

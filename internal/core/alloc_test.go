@@ -76,3 +76,23 @@ func TestCheckTraceAllocCeilingOrdered(t *testing.T) {
 		t.Fatalf("CheckTrace with checkers: %.1f allocs/op, ceiling %v", allocs, ceiling)
 	}
 }
+
+// TestCheckTraceAllocCeilingPromoted covers a section big enough that the
+// shadow memory, log and written maps each pass interval.Map's flat limit
+// (1 024 segments) and move into a treap. A pooled State keeps those
+// treaps, node freelists included, across Reset, so the steady state
+// allocates nothing; rebuilding them on every trace would cost over
+// 9 000 allocs.
+func TestCheckTraceAllocCeilingPromoted(t *testing.T) {
+	tr := &trace.Trace{Ops: cleanMicroOps(4 * 1024)}
+	const ceiling = 0.0
+	allocs := testing.AllocsPerRun(20, func() {
+		rep := CheckTrace(X86{}, tr)
+		if !rep.Clean() {
+			t.Fatal("clean trace flagged")
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("CheckTrace on a clean 4096-write section: %.1f allocs/op, ceiling %v", allocs, ceiling)
+	}
+}

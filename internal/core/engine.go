@@ -31,8 +31,9 @@ const maxDiagsPerTrace = 1000
 
 // statePool recycles checking states across traces. A trace still gets a
 // logically fresh shadow memory (§4.4) — Reset restores the pristine
-// condition — but the State allocation, its four interval trees, their
-// node freelists and the scratch buffers are all reused, which removes
+// condition — but the State allocation, its four interval maps (their
+// segment slices, and the treaps and node freelists of any that grew past
+// the flat limit) and the scratch buffers are all reused, which removes
 // the dominant per-trace allocation cost on the checking hot path.
 var statePool = sync.Pool{New: func() any { statePoolMisses.Add(1); return NewState() }}
 

@@ -113,7 +113,7 @@ type cut struct {
 }
 
 // ShardedChecker checks traces against address-striped shadow memory:
-// each stripe owns the interval trees for its address chunks and applies
+// each stripe owns the interval maps for its address chunks and applies
 // its ops on a dedicated persistent worker goroutine, while trace-global
 // ops (fences, transaction boundaries, scope control) are broadcast to
 // every stripe so each replays the same epoch and transaction structure.

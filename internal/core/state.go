@@ -71,15 +71,15 @@ type State struct {
 	// T is the global epoch counter, incremented at every ordering fence.
 	T uint64
 	// Mem is the shadow memory: address range → persistency status.
-	Mem *interval.Tree[status]
+	Mem *interval.Map[status]
 	// Log tracks ranges backed up by TX_ADD inside the current
 	// outermost transaction.
-	Log *interval.Tree[logInfo]
+	Log *interval.Map[logInfo]
 	// Written tracks ranges modified inside the active TX_CHECKER scope.
-	Written *interval.Tree[writeInfo]
+	Written *interval.Map[writeInfo]
 	// Excluded holds ranges removed from the testing scope
 	// (PMTest_EXCLUDE); automatic checks and warnings skip them.
-	Excluded *interval.Tree[struct{}]
+	Excluded *interval.Map[struct{}]
 
 	// TxDepth is the current transaction nesting depth.
 	TxDepth int
@@ -124,18 +124,18 @@ type gcRange struct{ lo, hi uint64 }
 // NewState returns the empty checking state for a fresh trace.
 func NewState() *State {
 	return &State{
-		Mem:      interval.New[status](),
-		Log:      interval.New[logInfo](),
-		Written:  interval.New[writeInfo](),
-		Excluded: interval.New[struct{}](),
+		Mem:      interval.NewMap[status](),
+		Log:      interval.NewMap[logInfo](),
+		Written:  interval.NewMap[writeInfo](),
+		Excluded: interval.NewMap[struct{}](),
 	}
 }
 
 // Reset returns the state to its freshly-constructed condition while
-// keeping allocated capacity — tree node freelists and scratch buffers —
-// so a pooled State checks its next trace without reallocating. The
-// diagnostics slice is detached, not truncated: the previous trace's
-// Report owns it.
+// keeping allocated capacity — segment slices, treaps with their node
+// freelists, and scratch buffers — so a pooled State checks its next
+// trace without reallocating. The diagnostics slice is detached, not
+// truncated: the previous trace's Report owns it.
 func (s *State) Reset() {
 	s.T = 0
 	s.Mem.Clear()

@@ -1,14 +1,22 @@
-// Package interval provides an ordered map from half-open address ranges
-// [lo, hi) to values, backed by a randomized balanced tree (treap).
+// Package interval provides ordered maps from half-open address ranges
+// [lo, hi) to values, in two forms with identical semantics.
 //
-// The map maintains the invariant that stored segments never overlap.
+// Both maintain the invariant that stored segments never overlap.
 // Mutating a sub-range splits any partially covered segments, preserving
-// their values on the uncovered remainders. All operations run in
-// O(log n + k) for n stored segments and k touched segments, which is what
-// gives the PMTest checking engine its O(log n) shadow-memory updates
-// (paper §4.4).
+// their values on the uncovered remainders; adjacent segments are never
+// merged.
 //
-// The zero value of Tree is an empty, ready-to-use map.
+// Tree is a randomized balanced tree (treap): every operation costs
+// O(log n + k) for n stored segments and k touched segments. Map keeps
+// its segments in a sorted slice while it holds at most 1 024 of them
+// and becomes a Tree past that, so small maps get binary search over
+// contiguous memory and large ones keep the treap's bound. The checker's
+// shadow memory (paper §4.4) is a Map: one checked trace section rarely
+// holds more than a few hundred segments. internal/pmdk, part of the
+// simulated program under test, keeps using Tree, so a change to the
+// checker's maps leaves the uninstrumented program's speed alone.
+//
+// The zero values of Tree and Map are empty, ready-to-use maps.
 package interval
 
 // Seg is one stored segment: the half-open range [Lo, Hi) and its value.
@@ -277,11 +285,12 @@ func visit[V any](n *node[V], lo, hi uint64, f func(Seg[V]) bool) bool {
 	if n == nil || lo >= hi {
 		return true
 	}
-	// Prune: children left of lo or right of hi cannot overlap... but a
-	// segment's extent is not bounded by its subtree key range alone, so we
-	// prune only on lo ordering and test each node's own range.
+	// Segments are disjoint, so every segment in n's left subtree ends at
+	// or before n.lo: it can overlap [lo, hi) only when n starts after lo.
+	// Pruning on that keeps the walk at O(log n + k) instead of visiting
+	// every segment that starts below hi.
 	if n.lo < hi {
-		if !visit(n.left, lo, hi, f) {
+		if n.lo > lo && !visit(n.left, lo, hi, f) {
 			return false
 		}
 		if n.hi > lo {
