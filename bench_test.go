@@ -187,6 +187,10 @@ func BenchmarkAblationGranularity(b *testing.B) {
 // memory"). The front-insert arms hold n segments of the checker's size
 // and time one Set in front of all of them plus the Delete that undoes
 // it: the slice's worst case, and the reason the Map becomes a treap.
+// The gc-stream arms check a section shaped like the end-to-end
+// benchmark's stream_striped ones, where every flush edits the map in
+// place and every fence closes and retires segments in one pass
+// (EXPERIMENTS.md, "In-place shadow edits").
 func BenchmarkAblationShadow(b *testing.B) {
 	b.Run("interval-tree", func(b *testing.B) {
 		ablateReplace(b, func() shadowMap[int] { return interval.New[int]() })
@@ -216,6 +220,11 @@ func BenchmarkAblationShadow(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("front-insert/map/%d", n), func(b *testing.B) {
 			ablateFrontInsert(b, interval.NewMap[shadowStatus](), n)
+		})
+	}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("gc-stream/shards%d", shards), func(b *testing.B) {
+			ablateGCStream(b, shards)
 		})
 	}
 }
@@ -257,6 +266,35 @@ func ablateFrontInsert(b *testing.B, m shadowMap[shadowStatus], n int) {
 		m.Set(0, 32, shadowStatus{uint64(i)})
 		m.Delete(0, 32)
 	}
+}
+
+// ablateGCStream checks, on a warm checker with epoch GC and the given
+// number of stripes, one section of stream_striped's shape: 128 rounds,
+// each writing and writing back 256 64-byte objects at 4 KiB stride and
+// ending with a fence, the window rotating over 4 096 slots (65 664 ops).
+func ablateGCStream(b *testing.B, shards int) {
+	const rounds, window, slots = 128, 256, 4096
+	var ops []tracepkg.Op
+	for r := 0; r < rounds; r++ {
+		for w := 0; w < window; w++ {
+			a := uint64((1000+r*window+w)%slots) * 4096
+			ops = append(ops,
+				tracepkg.Op{Kind: tracepkg.KindWrite, Addr: a, Size: 64},
+				tracepkg.Op{Kind: tracepkg.KindFlush, Addr: a, Size: 64})
+		}
+		ops = append(ops, tracepkg.Op{Kind: tracepkg.KindFence})
+	}
+	tr := &tracepkg.Trace{Ops: ops}
+	c := core.NewShardedChecker(core.X86{}, core.Config{Shards: shards, EpochGC: true})
+	defer c.Close()
+	c.Check(tr, nil) // warm the segment slices
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, _ := c.Check(tr, nil); !rep.Clean() {
+			b.Fatal("clean stream section flagged")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/pmop")
 }
 
 // BenchmarkEngineThroughput: raw checking-engine throughput on a

@@ -96,3 +96,53 @@ func TestCheckTraceAllocCeilingPromoted(t *testing.T) {
 		t.Fatalf("CheckTrace on a clean 4096-write section: %.1f allocs/op, ceiling %v", allocs, ceiling)
 	}
 }
+
+// splitFillOps builds a clean section whose flushes edit the shadow
+// memory at the two places a flush can: each 128-byte write is written
+// back as two 64-byte lines, so the first writeback splits its segment,
+// and each write is followed by a writeback of a never-written line
+// inside the excluded range at excluded, which fills a gap without a
+// warning.
+func splitFillOps(writes int, excluded uint64) []trace.Op {
+	var ops []trace.Op
+	for i := 0; i < writes; i++ {
+		addr := uint64(0x1000 + i*128)
+		line := excluded + uint64(i*64)
+		ops = append(ops,
+			trace.Op{Kind: trace.KindWrite, Addr: addr, Size: 128},
+			trace.Op{Kind: trace.KindFlush, Addr: addr, Size: 64},
+			trace.Op{Kind: trace.KindFlush, Addr: addr + 64, Size: 64},
+			trace.Op{Kind: trace.KindFlush, Addr: line, Size: 64})
+	}
+	return append(ops, trace.Op{Kind: trace.KindFence})
+}
+
+// TestCheckTraceAllocCeilingFlushEdits pins 0 allocs for flushes that
+// split segments and quietly fill gaps in an excluded range, on a map
+// that stays flat (192 segments) and on one that promotes (12 288).
+// Flushes edit the shadow memory in place; a gap's value is built where
+// it is stored, since a pointer to a local zero value handed to the
+// edit's callback would escape and cost an allocation per gap.
+func TestCheckTraceAllocCeilingFlushEdits(t *testing.T) {
+	const excluded = 1 << 32
+	for _, c := range []struct {
+		name   string
+		writes int
+	}{{"flat", 64}, {"promoted", 4 * 1024}} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &trace.Trace{Ops: splitFillOps(c.writes, excluded)}
+			excl := []Range{{Addr: excluded, Size: uint64(c.writes * 64)}}
+			const ceiling = 0.0
+			allocs := testing.AllocsPerRun(20, func() {
+				rep := CheckTraceExcluding(X86{}, tr, excl)
+				if !rep.Clean() {
+					t.Fatalf("clean trace flagged: %v", rep.Diags)
+				}
+			})
+			if allocs > ceiling {
+				t.Fatalf("CheckTrace on %d split and %d filled flushes: %.1f allocs/op, ceiling %v",
+					c.writes, c.writes, allocs, ceiling)
+			}
+		})
+	}
+}

@@ -76,64 +76,45 @@ func (X86) Apply(s *State, op trace.Op) {
 
 // x86Flush opens a flush interval for the range and raises the two
 // performance warnings of §5.1.2: flushing unmodified data and flushing
-// the same data twice.
+// the same data twice. It edits the shadow memory in place: Update hands
+// it each stored piece of the range and each never-written gap, in
+// address order, and keeps what it sets there.
 func x86Flush(s *State, op trace.Op) {
 	lo, hi := op.Addr, op.Addr+op.Size
 	quiet := s.excluded(lo, hi)
-	s.segScratch = s.Mem.ExtractOverlapAppend(s.segScratch[:0], lo, hi)
-	segs := s.segScratch
 	warned := false
-	// Gaps in the shadow memory are ranges never written (and never
-	// flushed): writing them back is unnecessary.
-	next := lo
-	checkGap := func(gLo, gHi uint64) {
-		if gLo < gHi && !warned && !quiet && !s.excluded(gLo, gHi) {
-			s.report(SeverityWarn, CodeUnnecessaryWriteback, opSite(op), "",
-				"writeback of never-written range [0x%x,0x%x)", gLo, gHi)
-			warned = true
-		}
-	}
-	for _, seg := range segs {
-		checkGap(next, seg.Lo)
-		next = seg.Hi
-		st := seg.Val
-		if !quiet && !s.excluded(seg.Lo, seg.Hi) {
+	s.Mem.Update(lo, hi, func(lo, hi uint64, st *status) {
+		if !warned && !quiet && !s.excluded(lo, hi) {
 			switch {
-			case st.HasFI && !warned:
+			case st.HasFI:
 				// A writeback is already pending or completed since the
 				// last write: this clwb is redundant.
 				s.report(SeverityWarn, CodeDuplicateWriteback, opSite(op), st.WriteSite,
 					"range [0x%x,0x%x) already written back (flush interval %s)",
-					seg.Lo, seg.Hi, st.FI)
+					lo, hi, st.FI)
 				warned = true
-			case !st.HasPI && !warned:
+			case !st.HasPI:
+				// Stored segments carry a persist or a flush interval, so
+				// this is a gap: a range never written (and never
+				// flushed), whose writeback is unnecessary.
 				s.report(SeverityWarn, CodeUnnecessaryWriteback, opSite(op), "",
-					"writeback of unmodified range [0x%x,0x%x)", seg.Lo, seg.Hi)
+					"writeback of never-written range [0x%x,0x%x)", lo, hi)
 				warned = true
 			}
 		}
+		// Gaps record the flush too, so a second flush of the same
+		// unwritten range reports "duplicate" rather than repeating
+		// "unnecessary".
 		st.FI = EpochInterval{Start: s.T, End: Inf}
 		st.HasFI = true
-		s.Mem.Insert(seg.Lo, seg.Hi, st)
-	}
-	checkGap(next, hi)
-	// Record the flush on never-written gaps too, so a second flush of the
-	// same unwritten range reports "duplicate" rather than repeating
-	// "unnecessary".
-	for _, g := range s.Mem.Gaps(lo, hi) {
-		s.Mem.Insert(g.Lo, g.Hi, status{
-			FI:    EpochInterval{Start: s.T, End: Inf},
-			HasFI: true,
-		})
-	}
+	})
 }
 
 // x86Fence implements sfence: increment the global timestamp, then close
 // every open flush interval at the new epoch — and with it, the persist
 // interval of each flushed range (§4.4).
 func x86Fence(s *State) {
-	s.T++
-	s.Mem.ForEachPtr(func(lo, hi uint64, st *status) {
+	s.fence(func(st *status) {
 		if st.HasFI && st.FI.Open() {
 			st.FI.End = s.T
 			if st.HasPI && st.PI.Open() {
@@ -141,7 +122,6 @@ func x86Fence(s *State) {
 			}
 		}
 	})
-	s.fenceEpilogue()
 }
 
 // HOPS implements the relaxed model of §5.2 (hands-off persistence
@@ -181,14 +161,14 @@ func (HOPS) Apply(s *State, op trace.Op) {
 	}
 }
 
+// hopsDrain implements a durability fence: a new epoch, by which every
+// earlier write has persisted.
 func hopsDrain(s *State) {
-	s.T++
-	s.Mem.ForEachPtr(func(lo, hi uint64, st *status) {
+	s.fence(func(st *status) {
 		if st.HasPI && st.PI.Open() {
 			st.PI.End = s.T
 		}
 	})
-	s.fenceEpilogue()
 }
 
 // Epoch implements a third, illustrative model in the spirit of epoch

@@ -53,3 +53,30 @@ func TestShardedCheckAllocCeiling(t *testing.T) {
 			allocs, ceiling)
 	}
 }
+
+// TestEpochGCStreamAllocCeiling pins 0 allocs for a warm serial checker
+// with epoch GC on a stream section of the benchmark's shape: 32 rounds
+// of 256 written-back objects at 4 KiB stride over 4 096 slots, one fence
+// per round. Each fence closes intervals and retires segments in one
+// pass over the shadow memory, with no scratch list of retired ranges.
+func TestEpochGCStreamAllocCeiling(t *testing.T) {
+	tr := &trace.Trace{Ops: streamOps(32, 256, 4096, 1000, 4096, true)}
+	c := NewShardedChecker(X86{}, Config{Shards: 1, EpochGC: true})
+	defer c.Close()
+	for i := 0; i < 2; i++ { // warm: grows the segment slice to capacity
+		if rep, stats := c.Check(tr, nil); !rep.Clean() || stats.RetiredIntervals == 0 {
+			t.Fatalf("warmup: clean=%v retired=%d", rep.Clean(), stats.RetiredIntervals)
+		}
+	}
+	const ceiling = 0.0
+	allocs := testing.AllocsPerRun(20, func() {
+		rep, _ := c.Check(tr, nil)
+		if !rep.Clean() {
+			t.Fatal("clean stream section flagged")
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("warm epoch-GC Check on a %d-op stream section: %.1f allocs, ceiling %v",
+			len(tr.Ops), allocs, ceiling)
+	}
+}

@@ -106,20 +106,15 @@ type State struct {
 	gcOn      bool
 	gcLag     uint64
 	gcRetired uint64
-	gcScratch []gcRange
 	// peakIntervals is the high-water mark of Mem.Len() sampled at fences.
 	peakIntervals int
 
-	// Scratch buffers reused across operations (and, via the state pool,
-	// across traces) so the checking hot path performs no per-op slice
-	// allocations. segScratch serves x86Flush and the first operand of
-	// isOrderedBefore; segScratch2 serves the second operand.
+	// Scratch buffers for the persist intervals of isOrderedBefore's two
+	// operands, reused from one call to the next (and, via the state
+	// pool, across traces) so that the checker allocates no slice.
 	segScratch  []interval.Seg[status]
 	segScratch2 []interval.Seg[status]
 }
-
-// gcRange is a retirable address range collected during the fence scan.
-type gcRange struct{ lo, hi uint64 }
 
 // NewState returns the empty checking state for a fresh trace.
 func NewState() *State {
@@ -154,37 +149,27 @@ func (s *State) Reset() {
 	s.peakIntervals = 0
 }
 
-// fenceEpilogue runs at the end of every epoch-advancing fence: sample the
-// shadow-memory high-water mark and, when epoch GC is enabled, retire
-// segments whose intervals are fully closed and older than the GC lag.
-func (s *State) fenceEpilogue() {
-	if n := s.Mem.Len(); n > s.peakIntervals {
-		s.peakIntervals = n
-	}
-	if !s.gcOn {
-		return
-	}
-	// A segment is dead once every interval it carries ended at least
-	// gcLag epochs before the current one: no later fence will move it,
-	// and checkers only fail on open intervals.
-	if s.T < s.gcLag {
+// fence runs a fence that completes persists (x86's sfence, the drain of
+// HOPS and Epoch): it starts the next epoch, samples the shadow-memory
+// high-water mark, and applies closing, the model's interval-closing
+// rule, to every segment in one pass. With epoch GC on,
+// the same pass retires the segments all of whose intervals ended at
+// least gcLag epochs before the new one: no later fence will move them,
+// and checkers only fail on open intervals.
+func (s *State) fence(closing func(st *status)) {
+	s.T++
+	s.peakIntervals = max(s.peakIntervals, s.Mem.Len())
+	if !s.gcOn || s.T < s.gcLag {
+		s.Mem.ForEachPtr(func(_, _ uint64, st *status) { closing(st) })
 		return
 	}
 	horizon := s.T - s.gcLag
-	s.gcScratch = s.gcScratch[:0]
-	s.Mem.ForEachPtr(func(lo, hi uint64, st *status) {
-		if st.HasPI && (st.PI.Open() || st.PI.End > horizon) {
-			return
-		}
-		if st.HasFI && (st.FI.Open() || st.FI.End > horizon) {
-			return
-		}
-		s.gcScratch = append(s.gcScratch, gcRange{lo, hi})
+	retired := s.Mem.Retain(func(_, _ uint64, st *status) bool {
+		closing(st)
+		return st.HasPI && (st.PI.Open() || st.PI.End > horizon) ||
+			st.HasFI && (st.FI.Open() || st.FI.End > horizon)
 	})
-	for _, g := range s.gcScratch {
-		s.Mem.Delete(g.lo, g.hi)
-	}
-	s.gcRetired += uint64(len(s.gcScratch))
+	s.gcRetired += uint64(retired)
 }
 
 // report appends a diagnostic anchored at the current operation.
@@ -224,6 +209,7 @@ func (s *State) excluded(lo, hi uint64) bool {
 // bypasses the cache and only awaits a fence.
 func (s *State) applyWrite(op trace.Op, ntFlushed bool) {
 	lo, hi := op.Addr, op.Addr+op.Size
+	site := opSite(op) // formatted once: with sites captured, each call allocates
 	if s.TxCheckActive && s.TxDepth > 0 && !s.excluded(lo, hi) {
 		// §5.1.1: inside a checked transaction every modified range must
 		// already be in the log tree.
@@ -232,19 +218,19 @@ func (s *State) applyWrite(op trace.Op, ntFlushed bool) {
 				if s.excluded(g.Lo, g.Hi) {
 					continue
 				}
-				s.report(SeverityFail, CodeMissingBackup, opSite(op), "",
+				s.report(SeverityFail, CodeMissingBackup, site, "",
 					"modifying [0x%x,0x%x) without a log backup (missing TX_ADD)", g.Lo, g.Hi)
 				break // one finding per write is enough
 			}
 		}
 	}
 	if s.TxCheckActive {
-		s.Written.Set(lo, hi, writeInfo{Site: opSite(op)})
+		s.Written.Set(lo, hi, writeInfo{Site: site})
 	}
 	st := status{
 		PI:        EpochInterval{Start: s.T, End: Inf},
 		HasPI:     true,
-		WriteSite: opSite(op),
+		WriteSite: site,
 	}
 	if ntFlushed {
 		st.FI = EpochInterval{Start: s.T, End: Inf}

@@ -16,6 +16,12 @@
 // simulated program under test, keeps using Tree, so a change to the
 // checker's maps leaves the uninstrumented program's speed alone.
 //
+// Map also edits in place. Update hands every piece of a range, gaps
+// included, to a callback through a pointer to the stored value, and
+// Retain filters all segments in one compacting pass. The checker's
+// flushes and fences are built on them, so neither extracts and
+// re-inserts segments nor deletes them one at a time.
+//
 // The zero values of Tree and Map are empty, ready-to-use maps.
 package interval
 
@@ -163,8 +169,9 @@ func (t *Tree[V]) insertNode(lo, hi uint64, v V) {
 // ExtractOverlap removes every part of the tree overlapping [lo, hi) and
 // returns the removed parts clipped to [lo, hi), in ascending order.
 // Partially covered segments keep their value on the remainder outside the
-// range. This is the workhorse primitive: read-modify-write a sub-range by
-// extracting it, transforming the segments, and re-inserting them.
+// range. Extracting a sub-range, transforming the segments and inserting
+// them back is a read-modify-write of the range; Map.Update does that in
+// place, and on a promoted Map it runs through this and Insert.
 func (t *Tree[V]) ExtractOverlap(lo, hi uint64) []Seg[V] {
 	return t.extract(lo, hi, nil, true)
 }
@@ -354,6 +361,25 @@ func (t *Tree[V]) Gaps(lo, hi uint64) []Seg[struct{}] {
 // every open interval in one pass.
 func (t *Tree[V]) ForEachPtr(f func(lo, hi uint64, v *V)) {
 	inorder(t.root, func(n *node[V]) { f(n.lo, n.hi, &n.val) })
+}
+
+// retain is Map.Retain on the subtree rooted at n: it calls keep for
+// every node in ascending order, recycles the rejected ones and returns
+// the new root. A kept node outranks every node left below it, so
+// merging the survivors around each removal keeps the heap order.
+func (t *Tree[V]) retain(n *node[V], keep func(lo, hi uint64, v *V) bool) *node[V] {
+	if n == nil {
+		return nil
+	}
+	l := t.retain(n.left, keep)
+	ok := keep(n.lo, n.hi, &n.val)
+	r := t.retain(n.right, keep)
+	if !ok {
+		t.recycle(n)
+		return merge(l, r)
+	}
+	n.left, n.right = l, r
+	return n.update()
 }
 
 // All returns every stored segment in ascending order.

@@ -4,13 +4,18 @@ import "slices"
 
 // maxFlat is the segment count past which a Map moves its contents into a
 // Tree. The maps the checker builds for real sections stay well below it
-// (about 10 segments per C-Tree insert section, a few hundred per stripe
-// of a striped stream), where the slice is several times faster than the
-// treap. Its weak spot is an edit in front of most segments, an O(n)
-// shift: with the checker's 80-byte segments, inserting and deleting one
-// segment in front of all others costs about 1.6× the treap's at 256
-// segments, 6× at 1 024 and 30× at 4 096 (EXPERIMENTS.md, "Flat shadow
-// memory"). Promoting past 1 024 bounds that worst case per op.
+// (about 10 segments per C-Tree insert section, 768 for a serial epoch-GC
+// stream, a few hundred per stripe of a striped one), where the slice is
+// several times faster than the treap. Its weak spot is an edit in front
+// of most segments, an O(n) shift: with the checker's 80-byte segments,
+// inserting and deleting one segment in front of all others costs about
+// 1.6× the treap's at 256 segments, 6× at 1 024 and 30× at 4 096
+// (EXPERIMENTS.md, "Flat shadow memory"). Promoting past 1 024 bounds
+// that worst case per op. Flushes and fences no longer pay it per
+// segment (Update shifts at most once per call, Retain compacts once),
+// and with them in place the serial stream at 768 segments checks 3–4×
+// faster on the slice than on the treap, so a lower limit would cost
+// more than it saves (EXPERIMENTS.md, "In-place shadow edits").
 const maxFlat = 1024
 
 // Map is an interval map from [lo, hi) ranges to values of type V with
@@ -24,8 +29,8 @@ const maxFlat = 1024
 // included, for the next time it grows.
 //
 // The zero value of Map is an empty, ready-to-use map. Like Tree, it is
-// not safe for concurrent use, and a Visit or ForEachPtr callback must not
-// modify the map it walks.
+// not safe for concurrent use, and a Visit, ForEachPtr, Update or Retain
+// callback must not modify the map it walks.
 type Map[V any] struct {
 	// segs holds the contents while the map is flat: sorted by Lo,
 	// disjoint and non-empty, so it is sorted by Hi as well.
@@ -34,6 +39,10 @@ type Map[V any] struct {
 	// pooled map that promoted once reuses its nodes.
 	tree *Tree[V]
 	big  bool
+	// buf is Update's scratch on the tree: the pieces it extracts and
+	// the gaps between them. It is empty between calls and keeps its
+	// capacity, so a warm map updates without allocating.
+	buf []Seg[V]
 }
 
 // NewMap returns an empty interval map.
@@ -127,19 +136,14 @@ func (m *Map[V]) promoteIfBig() {
 // returns the removed parts clipped to [lo, hi), in ascending order, as
 // Tree.ExtractOverlap does.
 func (m *Map[V]) ExtractOverlap(lo, hi uint64) []Seg[V] {
-	return m.ExtractOverlapAppend(nil, lo, hi)
-}
-
-// ExtractOverlapAppend is ExtractOverlap appending into dst.
-func (m *Map[V]) ExtractOverlapAppend(dst []Seg[V], lo, hi uint64) []Seg[V] {
 	if m.big {
-		return m.tree.ExtractOverlapAppend(dst, lo, hi)
+		return m.tree.ExtractOverlap(lo, hi)
 	}
 	if lo >= hi {
-		return dst
+		return nil
 	}
 	var zero V
-	dst = m.splice(lo, hi, dst, true, false, zero)
+	dst := m.splice(lo, hi, nil, true, false, zero)
 	m.promoteIfBig() // cutting a segment's middle out splits it in two
 	return dst
 }
@@ -180,6 +184,141 @@ func (m *Map[V]) Delete(lo, hi uint64) {
 		m.splice(lo, hi, nil, false, false, zero)
 		m.promoteIfBig()
 	}
+}
+
+// Update edits [lo, hi) in place. It first splits the segments that
+// straddle lo or hi, so that every stored segment lies wholly inside or
+// wholly outside the range, and stores an empty segment in each
+// sub-range of [lo, hi) that nothing covered. It then calls f once for
+// each segment inside the range, in ascending order, with a pointer to
+// the stored value: an existing segment's value, or the zero value of a
+// gap. Whatever f leaves there is what the map keeps.
+//
+// The boundaries come out as ExtractOverlap, then Insert of every
+// extracted piece and of every gap Gaps reports, would leave them, in one
+// pass: no segment moves when [lo, hi) is covered by whole segments, and
+// the slice shifts once otherwise. f must not modify the map.
+func (m *Map[V]) Update(lo, hi uint64, f func(lo, hi uint64, v *V)) {
+	if lo >= hi {
+		return
+	}
+	if m.big {
+		m.updateTree(lo, hi, f)
+		return
+	}
+	// Count the segments the edit adds: one per gap, and one per
+	// remainder of a segment straddling lo or hi.
+	i := m.search(lo)
+	j, extra, next := i, 0, lo
+	for ; j < len(m.segs) && m.segs[j].Lo < hi; j++ {
+		if m.segs[j].Lo > next {
+			extra++
+		}
+		next = m.segs[j].Hi
+	}
+	if next < hi {
+		extra++
+	}
+	first := i // the first segment inside the range, once split
+	if i < j && m.segs[i].Lo < lo {
+		extra++
+		first++
+	}
+	if i < j && m.segs[j-1].Hi > hi {
+		extra++
+	}
+	if extra > 0 {
+		m.spread(i, j, extra, lo, hi)
+	}
+	for k := first; k < len(m.segs) && m.segs[k].Lo < hi; k++ {
+		f(m.segs[k].Lo, m.segs[k].Hi, &m.segs[k].Val)
+	}
+	m.promoteIfBig()
+}
+
+// spread rewrites segs[i:j], the segments overlapping [lo, hi), as the
+// extra-longer run Update walks: the remainders outside the range, the
+// pieces inside it and an empty segment per gap. It shifts the tail once
+// and fills the run from the right, so each old segment is read before
+// its slot is written.
+func (m *Map[V]) spread(i, j, extra int, lo, hi uint64) {
+	n := len(m.segs)
+	m.segs = slices.Grow(m.segs, extra)[:n+extra]
+	copy(m.segs[j+extra:], m.segs[j:n])
+	w, end := j+extra, hi
+	if i < j && m.segs[j-1].Hi > hi {
+		w--
+		m.segs[w] = Seg[V]{Lo: hi, Hi: m.segs[j-1].Hi, Val: m.segs[j-1].Val}
+	}
+	for r := j - 1; r >= i; r-- {
+		s := m.segs[r]
+		if s.Hi < end {
+			w--
+			m.segs[w] = Seg[V]{Lo: s.Hi, Hi: end}
+		}
+		end = maxU64(s.Lo, lo)
+		w--
+		m.segs[w] = Seg[V]{Lo: end, Hi: minU64(s.Hi, hi), Val: s.Val}
+		if s.Lo < lo {
+			w--
+			m.segs[w] = Seg[V]{Lo: s.Lo, Hi: lo, Val: s.Val}
+		}
+	}
+	if lo < end {
+		m.segs[w-1] = Seg[V]{Lo: lo, Hi: end}
+	}
+}
+
+// updateTree is Update on the promoted treap, through its extract and
+// insert primitives: the pieces of [lo, hi) are extracted into buf, the
+// gaps between them appended in order behind them, and every entry is
+// handed to f and inserted back.
+func (m *Map[V]) updateTree(lo, hi uint64, f func(lo, hi uint64, v *V)) {
+	m.buf = m.tree.ExtractOverlapAppend(m.buf[:0], lo, hi)
+	pieces, next := len(m.buf), lo
+	for k := 0; k < pieces; k++ {
+		if m.buf[k].Lo > next {
+			m.buf = append(m.buf, Seg[V]{Lo: next, Hi: m.buf[k].Lo})
+		}
+		m.buf = append(m.buf, m.buf[k])
+		next = m.buf[k].Hi
+	}
+	if next < hi {
+		m.buf = append(m.buf, Seg[V]{Lo: next, Hi: hi})
+	}
+	for k := pieces; k < len(m.buf); k++ {
+		p := &m.buf[k]
+		f(p.Lo, p.Hi, &p.Val)
+		m.tree.Insert(p.Lo, p.Hi, p.Val)
+	}
+	clear(m.buf) // drop what the values referenced
+	m.buf = m.buf[:0]
+}
+
+// Retain calls keep for every segment in ascending order, with a pointer
+// to its value that keep may modify, and removes the segments for which
+// keep returns false. It returns how many it removed. The slice is
+// compacted once, in the same pass; the treap drops them in one walk.
+// keep must not modify the map.
+func (m *Map[V]) Retain(keep func(lo, hi uint64, v *V) bool) int {
+	if m.big {
+		n := m.tree.Len()
+		m.tree.root = m.tree.retain(m.tree.root, keep)
+		return n - m.tree.Len()
+	}
+	w := 0
+	for r := range m.segs {
+		if keep(m.segs[r].Lo, m.segs[r].Hi, &m.segs[r].Val) {
+			if w != r {
+				m.segs[w] = m.segs[r]
+			}
+			w++
+		}
+	}
+	n := len(m.segs) - w
+	clear(m.segs[w:]) // drop what the removed values referenced
+	m.segs = m.segs[:w]
+	return n
 }
 
 // Visit calls f for every stored segment overlapping [lo, hi), clipped to
