@@ -139,7 +139,7 @@ func stream(args []string) {
 	activeNodeFile := fs.String("active-node-file", "", "after the first ack, write the session's active node address here")
 	sessionFile := fs.String("session-file", "", "write the session id here before streaming (feeds pmtop spans / pmtrace -remote)")
 	expectFailovers := fs.Uint64("expect-failovers", 0, "exit 1 unless the run recorded at least this many failovers")
-	rpcTimeout := fs.Duration("rpc-timeout", 5*time.Second, "per-RPC deadline")
+	rpcTimeout := fs.Duration("rpc-timeout", 5*time.Second, "deadline of each RPC, section write and wait for an ack")
 	obsListen := fs.String("obs-listen", "", "observability endpoint for the streaming client itself")
 	var logOpts obs.LogOptions
 	logOpts.RegisterFlags(fs)

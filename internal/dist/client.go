@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,9 +11,9 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -28,20 +29,36 @@ import (
 // production implementation is HTTPTransport.
 type Transport interface {
 	Open(ctx context.Context, node string, req OpenRequest) (OpenResponse, error)
-	// Section delivers one encoded section and returns its report — the
-	// acknowledgement carries the result, so "acked" and "checked" are
-	// the same event. span is the client's originating section span ID
-	// for cross-node correlation (0 when no flight recorder is
-	// attached); transports propagate it as an optional header.
-	Section(ctx context.Context, node, session string, seq uint64, payload []byte, crc uint32, span uint64) (core.Report, error)
+	// Stream connects a session's ordered section stream to node. Every
+	// write and every wait for an ack on it gets a deadline of timeout.
+	Stream(node, session string, timeout time.Duration) (SectionStream, error)
 	CloseSession(ctx context.Context, node, session string) error
 	Health(ctx context.Context, node string) error
 }
 
+// SectionStream carries one session's sections to one node in order:
+// requests go out back to back and their acks come back in the same
+// order. An ack carries the section's report, so "acked" and "checked"
+// are the same event. After any error the stream is unusable and the
+// caller closes it.
+type SectionStream interface {
+	// Send writes one encoded section without waiting for its ack; it
+	// may buffer until the next Recv. span is the client's originating
+	// section span ID for cross-node correlation (0 when no flight
+	// recorder is attached); streams propagate it as an optional header.
+	Send(seq uint64, payload []byte, crc uint32, span uint64) error
+	// Recv returns the report of the oldest section sent and not yet
+	// acknowledged. It flushes what Send buffered before it waits.
+	Recv() (core.Report, error)
+	Close() error
+}
+
 // HTTPTransport speaks the /v1/* section protocol to pmtestd nodes.
 type HTTPTransport struct {
-	// Client defaults to a dedicated http.Client; per-RPC deadlines come
-	// from the caller's context, so no Timeout is set here.
+	// Client carries the session RPCs (open, close, health) and defaults
+	// to http.DefaultClient; per-RPC deadlines come from the caller's
+	// context, so no Timeout is set here. Section streams dial their own
+	// connection.
 	Client *http.Client
 }
 
@@ -61,14 +78,19 @@ func (t *HTTPTransport) do(req *http.Request, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &RPCError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
+		return statusError(resp)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// statusError turns a non-2xx response into a typed *RPCError.
+func statusError(resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	return &RPCError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 }
 
 func (t *HTTPTransport) Open(ctx context.Context, node string, req OpenRequest) (OpenResponse, error) {
@@ -85,21 +107,84 @@ func (t *HTTPTransport) Open(ctx context.Context, node string, req OpenRequest) 
 	return out, t.do(hr, &out)
 }
 
-func (t *HTTPTransport) Section(ctx context.Context, node, session string, seq uint64, payload []byte, crc uint32, span uint64) (core.Report, error) {
-	u := "http://" + node + PathSection + "?session=" + url.QueryEscape(session)
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(payload))
+// Stream dials one TCP connection and pipelines HTTP/1.1 section
+// requests on it. Go's HTTP/1.1 server, the node's, answers pipelined
+// requests one at a time and in order.
+func (t *HTTPTransport) Stream(node, session string, timeout time.Duration) (SectionStream, error) {
+	conn, err := net.DialTimeout("tcp", node, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &httpStream{
+		conn:    conn,
+		timeout: timeout,
+		bw:      bufio.NewWriterSize(conn, 32<<10),
+		br:      bufio.NewReader(conn),
+		prefix: "POST " + PathSection + "?session=" + url.QueryEscape(session) + " HTTP/1.1\r\n" +
+			"Host: " + node + "\r\nContent-Type: application/octet-stream\r\n",
+	}, nil
+}
+
+// httpStream is HTTPTransport's SectionStream: one connection, requests
+// written through a buffer that Recv flushes, responses read in order.
+type httpStream struct {
+	conn    net.Conn
+	timeout time.Duration
+	bw      *bufio.Writer
+	br      *bufio.Reader
+	prefix  string       // request line and the headers every section shares
+	hdr     []byte       // scratch for one request's header block
+	body    bytes.Buffer // scratch for one response's body
+}
+
+func (s *httpStream) Send(seq uint64, payload []byte, crc uint32, span uint64) error {
+	h := append(s.hdr[:0], s.prefix...)
+	h = append(h, "Content-Length: "...)
+	h = strconv.AppendInt(h, int64(len(payload)), 10)
+	h = append(h, "\r\n"+headerSeq+": "...)
+	h = strconv.AppendUint(h, seq, 10)
+	h = append(h, "\r\n"+headerCRC+": "...)
+	h = strconv.AppendUint(h, uint64(crc), 10)
+	if span != 0 {
+		h = append(h, "\r\n"+headerSpan+": "...)
+		h = strconv.AppendUint(h, span, 10)
+	}
+	h = append(h, "\r\n\r\n"...)
+	s.hdr = h
+	if err := s.conn.SetWriteDeadline(time.Now().Add(s.timeout)); err != nil {
+		return err
+	}
+	if _, err := s.bw.Write(h); err != nil {
+		return err
+	}
+	_, err := s.bw.Write(payload)
+	return err
+}
+
+func (s *httpStream) Recv() (core.Report, error) {
+	if err := s.conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
+		return core.Report{}, err
+	}
+	if err := s.bw.Flush(); err != nil {
+		return core.Report{}, err
+	}
+	resp, err := http.ReadResponse(s.br, nil)
 	if err != nil {
 		return core.Report{}, err
 	}
-	hr.Header.Set(headerSeq, strconv.FormatUint(seq, 10))
-	hr.Header.Set(headerCRC, strconv.FormatUint(uint64(crc), 10))
-	if span != 0 {
-		hr.Header.Set(headerSpan, strconv.FormatUint(span, 10))
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return core.Report{}, statusError(resp)
 	}
-	hr.Header.Set("Content-Type", "application/octet-stream")
+	s.body.Reset()
+	if _, err := s.body.ReadFrom(resp.Body); err != nil {
+		return core.Report{}, err
+	}
 	var rep core.Report
-	return rep, t.do(hr, &rep)
+	return rep, json.Unmarshal(s.body.Bytes(), &rep)
 }
+
+func (s *httpStream) Close() error { return s.conn.Close() }
 
 func (t *HTTPTransport) CloseSession(ctx context.Context, node, session string) error {
 	u := "http://" + node + PathClose + "?session=" + url.QueryEscape(session)
@@ -125,10 +210,12 @@ type Options struct {
 	Nodes []string
 	// Transport defaults to an HTTPTransport.
 	Transport Transport
-	// RPCTimeout is the per-RPC deadline (default 5s).
+	// RPCTimeout is the deadline of each RPC, each section write and
+	// each wait for a section's ack (default 5s).
 	RPCTimeout time.Duration
-	// Attempts bounds tries of one RPC against one node before failing
-	// over (default 3); retries wait Backoff delays.
+	// Attempts bounds tries of one RPC, or of getting one section
+	// acknowledged, against one node before failing over (default 3);
+	// retries wait Backoff delays.
 	Attempts int
 	// Backoff shapes the retry delays (zero value = defaults).
 	Backoff Backoff
@@ -267,16 +354,36 @@ func (c *Coordinator) homeNode(sid string) int {
 	return int(h.Sum32()) % len(c.opts.Nodes)
 }
 
+// window is the most sections a session keeps written on its stream
+// and not yet acknowledged.
+const window = 32
+
+// windowBytes caps the payload bytes a session keeps written and not
+// yet acknowledged; a larger head is written alone. An ack can be large
+// (a report carries up to a thousand diagnostics), so the section count
+// alone does not rule out both sides blocking on full socket buffers:
+// the node writing an ack the client is not yet reading, the client
+// writing sections the node is not yet reading. Under this cap, what
+// the client writes past the node's read position fits the node's
+// receive buffer.
+const windowBytes = 64 << 10
+
 // pendingSection is one buffered, unacknowledged section: the wire
 // payload for delivery, the decoded trace for local fallback, and the
 // client section span ID (captured at Submit, since the trace may be
-// mutated concurrently) propagated for cross-node correlation.
+// mutated concurrently) propagated for cross-node correlation. The
+// pump alone touches span and written.
 type pendingSection struct {
 	seq     uint64
 	payload []byte
 	crc     uint32
 	spanID  uint64
 	tr      *trace.Trace
+	// span is the section's one client rpc span, started at its first
+	// write (or when it reaches the head unwritten).
+	span *flight.Span
+	// written is when the section's request was last written.
+	written time.Time
 }
 
 // Session is a remote checking session: Submit buffers and streams
@@ -291,17 +398,28 @@ type Session struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// pending[0] is in flight (or next to go); the rest is backlog.
-	// After a failover the whole slice replays on the new node.
+	// pending holds every unacknowledged section in seq order; its
+	// first sent entries are written on the stream. After an error the
+	// stream is discarded and the slice is written again from its head,
+	// on this node or another.
 	pending      []*pendingSection
 	pendingBytes int64
 	nextSeq      uint64
-	reports      map[uint64]core.Report
-	nodeIdx      int
-	opened       bool
-	closed       bool
-	err          error
-	done         chan struct{}
+	// reports holds each section's report at index seq. A seq without
+	// one (dropped, or not yet acknowledged) has TraceID -1.
+	reports []core.Report
+	nodeIdx int
+	opened  bool
+	closed  bool
+	err     error
+	done    chan struct{}
+
+	// The pump alone touches these. The stream exists only while the
+	// session is open on nodeIdx; sentBytes is the payload of the first
+	// sent pending sections.
+	stream    SectionStream
+	sent      int
+	sentBytes int
 }
 
 // OpenSession starts a checking session under the given model. The
@@ -318,7 +436,6 @@ func (c *Coordinator) OpenSession(sid string, rules core.RuleSet) *Session {
 		sid:     sid,
 		rules:   rules,
 		rng:     rand.New(rand.NewSource(int64(h.Sum64()))),
-		reports: make(map[uint64]core.Report),
 		nodeIdx: c.homeNode(sid),
 		done:    make(chan struct{}),
 	}
@@ -380,8 +497,7 @@ func (s *Session) Submit(t *trace.Trace) {
 		for len(s.pending) > 0 {
 			s.cond.Wait()
 		}
-		rep := s.checkLocal(&pendingSection{seq: seq, tr: t})
-		s.reports[seq] = rep
+		s.setReport(seq, s.checkLocal(&pendingSection{seq: seq, tr: t}))
 		s.mu.Unlock()
 		if m != nil {
 			m.DistFallbacks.Add(1)
@@ -423,10 +539,19 @@ func (s *Session) Wait() []core.Report {
 	}
 	out := make([]core.Report, 0, len(s.reports))
 	for _, r := range s.reports {
-		out = append(out, r)
+		if r.TraceID >= 0 {
+			out = append(out, r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TraceID < out[j].TraceID })
 	return out
+}
+
+// setReport stores seq's report; callers hold s.mu.
+func (s *Session) setReport(seq uint64, rep core.Report) {
+	for uint64(len(s.reports)) <= seq {
+		s.reports = append(s.reports, core.Report{TraceID: -1})
+	}
+	s.reports[seq] = rep
 }
 
 // Err returns the session's first deferred error (a refused section, a
@@ -467,12 +592,14 @@ func (s *Session) Close() []core.Report {
 	return reports
 }
 
-// pump is the session's single sender goroutine: it delivers the head
-// of the pending buffer through the degradation ladder, records the
-// acked report, and pops. One section is in flight at a time, so the
-// pending buffer is exactly the replay window a failover needs.
+// pump is the session's single sender goroutine: it resolves the head
+// of the pending buffer through the degradation ladder, records its
+// report, and pops it. While it waits for the head's ack, the sections
+// behind it are already written on the stream, up to the window, so the
+// node never waits a round trip for its next section.
 func (s *Session) pump() {
 	defer close(s.done)
+	defer s.dropStream()
 	for {
 		s.mu.Lock()
 		for len(s.pending) == 0 && !s.closed {
@@ -489,7 +616,7 @@ func (s *Session) pump() {
 
 		s.mu.Lock()
 		if ok {
-			s.reports[p.seq] = rep
+			s.setReport(p.seq, rep)
 		}
 		s.pending = s.pending[1:]
 		s.pendingBytes -= int64(len(p.payload))
@@ -501,23 +628,13 @@ func (s *Session) pump() {
 	}
 }
 
-// deliver pushes one section down the degradation ladder: the current
-// node with retries, then failover around the ring, then the local
-// fallback engine. It returns ok=false only when fallback is disabled
-// and no node accepted the section.
+// deliver pushes the head section down the degradation ladder: the
+// current node with retries, then failover around the ring, then the
+// local fallback engine. It returns ok=false only when fallback is
+// disabled and no node accepted the section.
 func (s *Session) deliver(p *pendingSection) (core.Report, bool) {
 	c := s.c
-	var span *flight.Span
-	if fl := c.opts.Flight; fl != nil {
-		// Parent under the client's section span and carry its ID as an
-		// attribute, so a timeline stitcher can join this delivery
-		// attempt to the section it shipped.
-		span = fl.Start(flight.CatRPC, "section", p.spanID).
-			SetInt("seq", int64(p.seq)).SetStr("session", s.sid)
-		if p.spanID != 0 {
-			span.SetInt("span", int64(p.spanID))
-		}
-	}
+	span := s.rpcSpan(p)
 	finish := func(route string, err error) {
 		if span != nil {
 			span.SetStr("route", route)
@@ -635,9 +752,12 @@ func (s *Session) open(idx int, startSeq uint64) error {
 	return nil
 }
 
-// sendSection tries one section against one node, up to Attempts times
-// with backoff, feeding the node's breaker. Non-retryable errors
-// return immediately for the caller to classify.
+// sendSection resolves the head p against one node, up to Attempts
+// times with backoff, feeding the node's breaker. Each attempt writes
+// the window on the stream and reads p's ack; any error discards the
+// stream, so the next attempt dials again and writes the window again
+// from p. Non-retryable errors return immediately for the caller to
+// classify.
 func (s *Session) sendSection(idx int, p *pendingSection, br *breaker) (core.Report, error) {
 	c := s.c
 	node := c.opts.Nodes[idx]
@@ -650,17 +770,15 @@ func (s *Session) sendSection(idx int, p *pendingSection, br *breaker) (core.Rep
 			}
 			c.opts.sleep(c.opts.Backoff.Delay(attempt-1, s.rng.Float64))
 		}
-		start := c.opts.now()
-		ctx, cancel := context.WithTimeout(context.Background(), c.opts.RPCTimeout)
-		rep, err := c.tr.Section(ctx, node, s.sid, p.seq, p.payload, p.crc, p.spanID)
-		cancel()
+		rep, err := s.ack(node, p)
 		if err == nil {
 			br.Success()
 			if m != nil {
-				m.DistRTT.Observe(c.opts.now().Sub(start))
+				m.DistRTT.Observe(c.opts.now().Sub(p.written))
 			}
 			return rep, nil
 		}
+		s.dropStream()
 		if m != nil {
 			m.DistRPCErrors.Add(1)
 		}
@@ -673,12 +791,79 @@ func (s *Session) sendSection(idx int, p *pendingSection, br *breaker) (core.Rep
 	return core.Report{}, lastErr
 }
 
+// ack writes the pending sections that fit the window and are not on
+// the stream yet, dialing node first when there is no stream, then
+// reads the ack of the head p.
+func (s *Session) ack(node string, p *pendingSection) (core.Report, error) {
+	c := s.c
+	if s.stream == nil {
+		st, err := c.tr.Stream(node, s.sid, c.opts.RPCTimeout)
+		if err != nil {
+			return core.Report{}, err
+		}
+		s.stream = st
+	}
+	s.mu.Lock()
+	next := s.pending[s.sent:min(len(s.pending), window)]
+	s.mu.Unlock()
+	for _, q := range next {
+		if s.sent > 0 && s.sentBytes+len(q.payload) > windowBytes {
+			break
+		}
+		s.rpcSpan(q)
+		if err := s.stream.Send(q.seq, q.payload, q.crc, q.spanID); err != nil {
+			return core.Report{}, err
+		}
+		q.written = c.opts.now()
+		s.sent++
+		s.sentBytes += len(q.payload)
+	}
+	rep, err := s.stream.Recv()
+	if err != nil {
+		return core.Report{}, err
+	}
+	if rep.TraceID != int(p.seq) {
+		return core.Report{}, fmt.Errorf("dist: ack for section %d arrived in place of section %d", rep.TraceID, p.seq)
+	}
+	s.sent--
+	s.sentBytes -= len(p.payload)
+	return rep, nil
+}
+
+// dropStream discards the stream and every write on it not yet
+// acknowledged.
+func (s *Session) dropStream() {
+	if s.stream != nil {
+		s.stream.Close()
+		s.stream = nil
+	}
+	s.sent, s.sentBytes = 0, 0
+}
+
+// rpcSpan starts p's client rpc span unless it has one: a section gets
+// exactly one, however often it is written, and its route attribute
+// records where the section finally landed.
+func (s *Session) rpcSpan(p *pendingSection) *flight.Span {
+	if fl := s.c.opts.Flight; fl != nil && p.span == nil {
+		// Parent under the client's section span and carry its ID as an
+		// attribute, so a timeline stitcher can join this delivery to
+		// the section it shipped.
+		p.span = fl.Start(flight.CatRPC, "section", p.spanID).
+			SetInt("seq", int64(p.seq)).SetStr("session", s.sid)
+		if p.spanID != 0 {
+			p.span.SetInt("span", int64(p.spanID))
+		}
+	}
+	return p.span
+}
+
 // failover abandons the current node: the session re-opens on the next
 // ring slot when deliver loops. Only counted (and span-recorded) when
 // a live session was actually lost, not when sharding merely skips an
 // open breaker.
 func (s *Session) failover(fromIdx int, cause error) {
 	c := s.c
+	s.dropStream()
 	s.mu.Lock()
 	hadSession := s.opened
 	s.opened = false

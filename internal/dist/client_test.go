@@ -16,12 +16,19 @@ import (
 )
 
 // funcTransport adapts closures to the Transport interface, so each
-// test scripts node behavior without a network.
+// test scripts node behavior without a network. Its streams call
+// sectionFn when the head's ack is read, so a script sees one call per
+// attempt to resolve a head, however many sections are written behind
+// it.
 type funcTransport struct {
 	openFn    func(node string, req OpenRequest) (OpenResponse, error)
 	sectionFn func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error)
 	closeFn   func(node, sid string) error
 	healthFn  func(node string) error
+
+	mu sync.Mutex
+	// writes lists the seqs written on each stream, in dial order.
+	writes [][]uint64
 }
 
 func (f *funcTransport) Open(_ context.Context, node string, req OpenRequest) (OpenResponse, error) {
@@ -31,12 +38,56 @@ func (f *funcTransport) Open(_ context.Context, node string, req OpenRequest) (O
 	return f.openFn(node, req)
 }
 
-// Section drops the correlation span ID: these tests script delivery
-// and failure behavior, which is independent of span propagation (the
-// loopback correlation test covers the header end-to-end).
-func (f *funcTransport) Section(_ context.Context, node, sid string, seq uint64, payload []byte, crc uint32, _ uint64) (core.Report, error) {
-	return f.sectionFn(node, sid, seq, payload, crc)
+func (f *funcTransport) Stream(node, sid string, _ time.Duration) (SectionStream, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.writes = append(f.writes, nil)
+	return &funcStream{f: f, node: node, sid: sid, idx: len(f.writes) - 1}, nil
 }
+
+// streams returns a copy of the seqs each stream carried so far.
+func (f *funcTransport) streams() [][]uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([][]uint64, len(f.writes))
+	for i, w := range f.writes {
+		out[i] = append([]uint64(nil), w...)
+	}
+	return out
+}
+
+// funcStream queues written sections and resolves the oldest on Recv.
+// It drops the correlation span ID: these tests script delivery and
+// failure behavior, which is independent of span propagation (the
+// loopback correlation test covers the header end-to-end).
+type funcStream struct {
+	f         *funcTransport
+	node, sid string
+	idx       int
+	queue     []queuedSection
+}
+
+type queuedSection struct {
+	seq     uint64
+	payload []byte
+	crc     uint32
+}
+
+func (s *funcStream) Send(seq uint64, payload []byte, crc uint32, _ uint64) error {
+	s.f.mu.Lock()
+	s.f.writes[s.idx] = append(s.f.writes[s.idx], seq)
+	s.f.mu.Unlock()
+	s.queue = append(s.queue, queuedSection{seq, payload, crc})
+	return nil
+}
+
+func (s *funcStream) Recv() (core.Report, error) {
+	q := s.queue[0]
+	s.queue = s.queue[1:]
+	return s.f.sectionFn(s.node, s.sid, q.seq, q.payload, q.crc)
+}
+
+func (s *funcStream) Close() error { return nil }
 
 func (f *funcTransport) CloseSession(_ context.Context, node, sid string) error {
 	if f.closeFn == nil {

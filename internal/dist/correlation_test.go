@@ -42,7 +42,7 @@ func TestSectionCorrelationPropagates(t *testing.T) {
 	tr.ID = 0
 	payload, crc := encodeSection(t, tr)
 	const clientSpan = 77
-	if _, err := ht.Section(ctx, addr, "pmtest-9", 0, payload, crc, clientSpan); err != nil {
+	if _, err := sectionRPC(t, addr, "pmtest-9", 0, payload, crc, clientSpan); err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,7 +76,7 @@ func TestSectionCorrelationPropagates(t *testing.T) {
 
 	// Idempotent redelivery: the replayed rpc span carries the identical
 	// correlation tags plus the replay marker, and no second check runs.
-	if _, err := ht.Section(ctx, addr, "pmtest-9", 0, payload, crc, clientSpan); err != nil {
+	if _, err := sectionRPC(t, addr, "pmtest-9", 0, payload, crc, clientSpan); err != nil {
 		t.Fatal(err)
 	}
 	rpcs = rec.Search(flight.Query{Category: flight.CatRPC, HasCategory: true})
@@ -112,7 +112,7 @@ func TestSectionCorrelationOptional(t *testing.T) {
 	tr := testTrace(0)
 	tr.ID = 0
 	payload, crc := encodeSection(t, tr)
-	if _, err := ht.Section(ctx, addr, "s", 0, payload, crc, 0); err != nil {
+	if _, err := sectionRPC(t, addr, "s", 0, payload, crc, 0); err != nil {
 		t.Fatal(err)
 	}
 	rpc := rec.Search(flight.Query{Category: flight.CatRPC, HasCategory: true})[0]

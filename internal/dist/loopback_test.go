@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"pmtest/internal/core"
 	"pmtest/internal/obs"
 	"pmtest/internal/trace"
 )
@@ -23,6 +25,20 @@ func startTestNode(t *testing.T) (string, *httptest.Server, *Node) {
 		node.Close()
 	})
 	return strings.TrimPrefix(srv.URL, "http://"), srv, node
+}
+
+// sectionRPC writes one section on a fresh stream and reads its ack.
+func sectionRPC(t *testing.T, addr, sid string, seq uint64, payload []byte, crc uint32, span uint64) (core.Report, error) {
+	t.Helper()
+	st, err := (&HTTPTransport{}).Stream(addr, sid, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Send(seq, payload, crc, span); err != nil {
+		return core.Report{}, err
+	}
+	return st.Recv()
 }
 
 func encodeSection(t *testing.T, tr *trace.Trace) ([]byte, uint32) {
@@ -53,7 +69,7 @@ func TestNodeProtocol(t *testing.T) {
 	sec0 := testTrace(0)
 	sec0.ID = 0
 	payload, crc := encodeSection(t, sec0)
-	rep, err := ht.Section(ctx, addr, "s", 0, payload, crc, 0)
+	rep, err := sectionRPC(t, addr, "s", 0, payload, crc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +79,7 @@ func TestNodeProtocol(t *testing.T) {
 
 	// Idempotent redelivery (a retry whose first attempt actually landed)
 	// returns the cached report, not a double-check or an error.
-	rep2, err := ht.Section(ctx, addr, "s", 0, payload, crc, 0)
+	rep2, err := sectionRPC(t, addr, "s", 0, payload, crc, 0)
 	if err != nil {
 		t.Fatalf("duplicate section: %v", err)
 	}
@@ -73,14 +89,14 @@ func TestNodeProtocol(t *testing.T) {
 
 	// A sequence gap means sections were lost between client and node:
 	// the node must refuse (409) so the client re-opens and replays.
-	if _, err := ht.Section(ctx, addr, "s", 2, payload, crc, 0); classify(err) != classSessionLost {
+	if _, err := sectionRPC(t, addr, "s", 2, payload, crc, 0); classify(err) != classSessionLost {
 		t.Fatalf("seq gap: err = %v, want a session-lost class", err)
 	}
 	// Corrupt payload: retryable, the client resends the same bytes.
-	if _, err := ht.Section(ctx, addr, "s", 1, payload, crc+1, 0); classify(err) != classRetryable {
+	if _, err := sectionRPC(t, addr, "s", 1, payload, crc+1, 0); classify(err) != classRetryable {
 		t.Fatalf("bad CRC: err = %v, want a retryable class", err)
 	}
-	if _, err := ht.Section(ctx, addr, "nope", 0, payload, crc, 0); classify(err) != classSessionLost {
+	if _, err := sectionRPC(t, addr, "nope", 0, payload, crc, 0); classify(err) != classSessionLost {
 		t.Fatalf("unknown session: err = %v, want a session-lost class", err)
 	}
 	if _, err := ht.Open(ctx, addr, OpenRequest{Version: 99, Session: "v", Model: "x86"}); classify(err) != classRefused {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestNodeSectionCostFlat: a section costs the node the same however
@@ -23,10 +24,18 @@ func TestNodeSectionCostFlat(t *testing.T) {
 	if _, err := ht.Open(ctx, addr, OpenRequest{Version: ProtocolVersion, Session: "s", Model: "x86"}); err != nil {
 		t.Fatal(err)
 	}
+	st, err := ht.Stream(addr, "s", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	payload, crc := encodeSection(t, testTrace(0))
 	send := func(from, to int) {
 		for seq := from; seq < to; seq++ {
-			if _, err := ht.Section(ctx, addr, "s", uint64(seq), payload, crc, 0); err != nil {
+			if err := st.Send(uint64(seq), payload, crc, 0); err != nil {
+				t.Fatalf("section %d: %v", seq, err)
+			}
+			if _, err := st.Recv(); err != nil {
 				t.Fatalf("section %d: %v", seq, err)
 			}
 		}

@@ -3,7 +3,9 @@
 // that host core-engine sessions, so checking capacity scales past one
 // process. Decoupled checking makes this safe: a section is a
 // self-contained unit of work, so any node — or a fresh node after a
-// failover — produces the same report for the same bytes.
+// failover — produces the same report for the same bytes. Each session
+// pipelines its sections on one HTTP/1.1 connection, keeping up to 32
+// written and unacknowledged.
 //
 // The robustness layer is the point of the package: per-RPC deadlines,
 // capped exponential backoff with jitter, per-node circuit breakers,

@@ -89,7 +89,7 @@ func writeProm(w http.ResponseWriter, s Snapshot) {
 	writePromHist(w, "pmtest_queue_wait_seconds", "Time from Submit to worker dequeue.", s.QueueWait)
 	writePromHist(w, "pmtest_check_duration_seconds", "Time a worker spent checking one trace.", s.CheckDur)
 	if s.DistRTT.Count > 0 {
-		writePromHist(w, "pmtest_dist_rtt_seconds", "End-to-end remote check latency per section (submit to report ack).", s.DistRTT)
+		writePromHist(w, "pmtest_dist_rtt_seconds", "Remote section latency, from writing the section request to reading its report ack (includes waiting behind earlier sections in the window).", s.DistRTT)
 	}
 
 	if len(s.PerWorkerChecked) > 0 {

@@ -366,8 +366,10 @@ type Metrics struct {
 	DistRPCErrors       Counter // failed RPC attempts (any cause)
 	DistBufferedBytes   Gauge   // encoded bytes currently buffered unacked
 	DistBufferedPeak    Gauge   // high-water mark of DistBufferedBytes
-	// DistRTT observes end-to-end check latency per section: from
-	// Submit on the program side to the report-carrying ack.
+	// DistRTT observes one delivery per acknowledged section: from
+	// writing the section's request to reading its report-carrying ack.
+	// That includes waiting behind the earlier sections in the session's
+	// window, which the node answers first.
 	DistRTT Histogram
 
 	mu            sync.Mutex

@@ -169,10 +169,11 @@ type RemoteConfig struct {
 	// Nodes are the pmtestd node addresses (host:port). Sessions shard
 	// across them by session-id hash and fail over around the ring.
 	Nodes []string
-	// RPCTimeout is the per-RPC deadline (default 5s).
+	// RPCTimeout is the deadline of each RPC, each section write and
+	// each wait for a section's ack (default 5s).
 	RPCTimeout time.Duration
-	// Attempts bounds tries of one RPC against one node before failing
-	// over (default 3).
+	// Attempts bounds tries of one RPC, or of getting one section
+	// acknowledged, against one node before failing over (default 3).
 	Attempts int
 	// BufferLimit caps the bytes of unacknowledged sections buffered
 	// client-side (default 16MB). At the cap SendTrace blocks
