@@ -64,9 +64,8 @@ func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", ":9321", "section protocol listen address")
 	obsListen := fs.String("obs-listen", "", "observability endpoint address (/metrics, /obs/v1/snapshot, /flight)")
-	workers := fs.Int("workers", 1, "checking workers per hosted session")
-	shards := fs.Int("shards", 1, "address stripes per checking worker (sharded checking; 1 = serial)")
-	epochGC := fs.Bool("epoch-gc", false, "retire long-closed shadow segments (bounds memory on streaming runs)")
+	shards := fs.Int("shards", 1, "address stripes per hosted session (sharded checking; 1 = serial)")
+	epochGC := fs.Bool("epoch-gc", false, "retire long-closed shadow segments (bounds memory on streaming runs; can drop a FAIL over a retired range)")
 	maxSessions := fs.Int("max-sessions", 256, "max concurrently hosted sessions")
 	sessionTTL := fs.Duration("session-ttl", 5*time.Minute, "reap sessions idle longer than this")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof on the -obs-listen address")
@@ -101,7 +100,7 @@ func serve(args []string) {
 
 	node := dist.NewNode(dist.NodeConfig{
 		Metrics: metrics, Flight: rec, Logger: logger,
-		MaxSessions: *maxSessions, SessionTTL: *sessionTTL, Workers: *workers,
+		MaxSessions: *maxSessions, SessionTTL: *sessionTTL,
 		Shards: *shards, EpochGC: *epochGC,
 	})
 	httpSrv := &http.Server{Handler: node}

@@ -233,18 +233,102 @@ type task struct {
 	enq time.Time
 }
 
+// Worker is one engine worker's per-trace work without its goroutine:
+// the track-only walk, the pooled serial check or the sharded/epoch-GC
+// checker (each recovers a panicking rule set into a CodeCheckerPanic
+// report), then the observer's dequeue and checked events and the log
+// record. Each engine worker goroutine runs one. A caller that checks
+// one trace at a time and waits for each report, as a pmtestd node
+// session does, calls one directly and needs no queue. A Worker is not
+// safe for concurrent use.
+type Worker struct {
+	opts Options
+	id   int
+	// sharded is the worker's ShardedChecker when Options.Check is active
+	// (striping and/or epoch GC); nil otherwise.
+	sharded *ShardedChecker
+}
+
+// NewWorker returns a Worker that checks like one worker of an engine
+// built from opts. Workers and QueueDepth do not apply. Close it when
+// done.
+func NewWorker(opts Options) *Worker { return newWorker(opts.withDefaults(), 0) }
+
+func newWorker(opts Options, id int) *Worker {
+	w := &Worker{opts: opts, id: id}
+	if opts.Check.active() && !opts.TrackOnly {
+		w.sharded = NewShardedChecker(opts.Rules, opts.Check)
+		w.sharded.Timed = opts.Observer != nil
+	}
+	return w
+}
+
+// Check checks t on the calling goroutine and returns its report. The
+// observer sees what an engine shows for a trace that is submitted and
+// dequeued at once: submitted, dequeued after no queue wait, checked.
+func (w *Worker) Check(t *trace.Trace) Report {
+	var enq time.Time
+	if ob := w.opts.Observer; ob != nil {
+		ob.TraceSubmitted(t.ID, t.Thread, len(t.Ops))
+		enq = time.Now()
+	}
+	return w.check(t, enq)
+}
+
+// check is the per-trace work of Check and of an engine worker
+// goroutine. enq is when t was submitted; it is zero when no observer
+// is installed.
+func (w *Worker) check(t *trace.Trace, enq time.Time) Report {
+	ob := w.opts.Observer
+	var start time.Time
+	if ob != nil {
+		start = time.Now()
+		ob.TraceDequeued(t.ID, w.id, start.Sub(enq))
+	}
+	var r Report
+	var stats CheckStats
+	switch {
+	case w.opts.TrackOnly:
+		r = trackOnly(t)
+	case w.sharded != nil:
+		r, stats = w.sharded.Check(t, w.opts.StaticExcludes)
+		recordShadowPeak(uint64(stats.PeakIntervals))
+	default:
+		r = CheckTraceExcluding(w.opts.Rules, t, w.opts.StaticExcludes)
+	}
+	if ob != nil {
+		ev := ReportEvent(t, r, w.id, start.Sub(enq), time.Since(start))
+		if stats.StripeDurs != nil {
+			// Copy: the checker reuses the slice on its next trace,
+			// and the event outlives this call in the recent ring.
+			ev.StripeDurs = append([]time.Duration(nil), stats.StripeDurs...)
+		}
+		ob.TraceChecked(ev)
+	}
+	if lg := w.opts.Logger; lg != nil {
+		logTrace(lg, t, r, w.id)
+	}
+	return r
+}
+
+// Close stops the stripe goroutines of the worker's sharded checker, if
+// it has one. The worker must not be used afterwards.
+func (w *Worker) Close() {
+	if w.sharded != nil {
+		w.sharded.Close()
+	}
+}
+
 // Engine is the PMTest checking engine: a master that dispatches incoming
 // traces round-robin to a pool of worker goroutines, each of which checks
 // its traces independently and posts results back (paper Fig. 8). The
 // program under test runs concurrently with checking; GetResult-style
 // synchronization is provided by Wait.
 type Engine struct {
-	opts   Options
-	queues []chan task
-	done   sync.WaitGroup
-	// checkers holds one ShardedChecker per worker when Options.Check is
-	// active (striping and/or epoch GC); nil otherwise.
-	checkers []*ShardedChecker
+	opts    Options
+	queues  []chan task
+	done    sync.WaitGroup
+	workers []*Worker
 
 	mu        sync.Mutex
 	idle      sync.Cond // signaled when completed catches up to submitted
@@ -263,57 +347,24 @@ func NewEngine(opts Options) *Engine {
 	opts = opts.withDefaults()
 	e := &Engine{opts: opts}
 	e.idle.L = &e.mu
-	if opts.Check.active() && !opts.TrackOnly {
-		e.checkers = make([]*ShardedChecker, opts.Workers)
-		for i := range e.checkers {
-			e.checkers[i] = NewShardedChecker(opts.Rules, opts.Check)
-			e.checkers[i].Timed = opts.Observer != nil
-		}
-	}
 	e.queues = make([]chan task, opts.Workers)
+	e.workers = make([]*Worker, opts.Workers)
 	for i := range e.queues {
 		q := make(chan task, opts.QueueDepth)
 		e.queues[i] = q
+		e.workers[i] = newWorker(opts, i)
 		e.done.Add(1)
-		go e.worker(i, q)
+		go e.run(e.workers[i], q)
 	}
 	return e
 }
 
-func (e *Engine) worker(id int, q <-chan task) {
+// run is one worker goroutine: it checks its queue's traces in order
+// and stores each report in the trace's slot.
+func (e *Engine) run(w *Worker, q <-chan task) {
 	defer e.done.Done()
-	ob := e.opts.Observer
-	lg := e.opts.Logger
 	for tk := range q {
-		t := tk.tr
-		var start time.Time
-		if ob != nil {
-			start = time.Now()
-			ob.TraceDequeued(t.ID, id, start.Sub(tk.enq))
-		}
-		var r Report
-		var stats CheckStats
-		switch {
-		case e.opts.TrackOnly:
-			r = trackOnly(t)
-		case e.checkers != nil:
-			r, stats = e.checkers[id].Check(t, e.opts.StaticExcludes)
-			recordShadowPeak(uint64(stats.PeakIntervals))
-		default:
-			r = CheckTraceExcluding(e.opts.Rules, t, e.opts.StaticExcludes)
-		}
-		if ob != nil {
-			ev := ReportEvent(t, r, id, start.Sub(tk.enq), time.Since(start))
-			if stats.StripeDurs != nil {
-				// Copy: the checker reuses the slice on its next trace,
-				// and the event outlives this iteration in the recent ring.
-				ev.StripeDurs = append([]time.Duration(nil), stats.StripeDurs...)
-			}
-			ob.TraceChecked(ev)
-		}
-		if lg != nil {
-			e.logTrace(lg, t, r, id)
-		}
+		r := w.check(tk.tr, tk.enq)
 		e.mu.Lock()
 		e.reports[tk.id] = r
 		e.completed++
@@ -328,7 +379,7 @@ func (e *Engine) worker(id int, q <-chan task) {
 // traces at Warn (with the first finding inline), clean ones at Debug.
 // span_id ties the record to the section's flight span, so a log line
 // found by grep leads straight to the timeline.
-func (e *Engine) logTrace(lg *slog.Logger, t *trace.Trace, r Report, worker int) {
+func logTrace(lg *slog.Logger, t *trace.Trace, r Report, worker int) {
 	fails, warns := r.Fails(), r.Warns()
 	level := slog.LevelDebug
 	msg := "trace checked"
@@ -458,12 +509,12 @@ func (e *Engine) QueueDepths() []int {
 // stripe, summed across the engine's workers — the sharded counterpart
 // of QueueDepths. Nil when the engine checks serially.
 func (e *Engine) StripeDepths() []int64 {
-	if e.checkers == nil || !e.opts.Check.Sharded() {
+	if e.workers[0].sharded == nil || !e.opts.Check.Sharded() {
 		return nil
 	}
 	out := make([]int64, e.opts.Check.Shards)
-	for _, ck := range e.checkers {
-		ck.AddStripeDepths(out)
+	for _, w := range e.workers {
+		w.sharded.AddStripeDepths(out)
 	}
 	return out
 }
@@ -475,27 +526,10 @@ func (e *Engine) StripeDepths() []int64 {
 func (e *Engine) Wait() []Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.waitIdleLocked()
-	return append([]Report(nil), e.reports...)
-}
-
-// WaitReport blocks until the engine is idle and returns the report of
-// trace id, which must be an ID Submit assigned. Unlike Wait it copies
-// nothing else, so a caller that acks one trace at a time (the pmtestd
-// node) pays the same per trace however long the session has run.
-func (e *Engine) WaitReport(id int) Report {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.waitIdleLocked()
-	return e.reports[id]
-}
-
-// waitIdleLocked waits, with e.mu held, until every submitted trace has
-// been checked.
-func (e *Engine) waitIdleLocked() {
 	for e.completed < e.submitted {
 		e.idle.Wait()
 	}
+	return append([]Report(nil), e.reports...)
 }
 
 // Close drains outstanding work and stops the workers (PMTest_EXIT). The
@@ -511,8 +545,8 @@ func (e *Engine) Close() []Report {
 	}
 	e.mu.Unlock()
 	e.done.Wait()
-	for _, ck := range e.checkers {
-		ck.Close()
+	for _, w := range e.workers {
+		w.Close()
 	}
 	return reports
 }

@@ -39,10 +39,11 @@ func FuzzShardRouter(f *testing.F) {
 		cfg := Config{Shards: int(shards%8) + 2, ChunkBits: 8}
 		// The oracle is like-for-like: striping must never change a
 		// report at equal GC settings. (GC-on vs GC-off is NOT invariant
-		// on adversarial soup — a flush of a range whose intervals
-		// closed beyond the GC lag draws a different warning flavor once
-		// the segment is retired; the harness goldens pin that real
-		// workloads never hit this.)
+		// on adversarial soup: once a segment is retired, a checker or
+		// flush over its range sees a never-written gap, so GC can drop
+		// a FAIL, such as an order-violation, or change a warning. The
+		// harness goldens pin that the recorded workloads do not hit
+		// this.)
 		gcCfg := cfg
 		gcCfg.EpochGC = true
 		serialGC := Config{Shards: 1, EpochGC: true}

@@ -29,7 +29,9 @@ type Config struct {
 	ChunkBits uint
 	// EpochGC retires shadow-memory segments whose persist and flush
 	// intervals both closed at least GCLag epochs before the current one,
-	// bounding live intervals over long streaming runs.
+	// bounding live intervals over long streaming runs. A later checker
+	// or flush over a retired range sees it as never written, so reports
+	// can differ from GC off: a FAIL can be dropped.
 	EpochGC bool
 	// GCLag is the retirement age in epochs; default 2. A larger lag
 	// keeps more history for late flush/order checks of old ranges.

@@ -121,7 +121,7 @@ func (t *HTTPTransport) Stream(node, session string, timeout time.Duration) (Sec
 		bw:      bufio.NewWriterSize(conn, 32<<10),
 		br:      bufio.NewReader(conn),
 		prefix: "POST " + PathSection + "?session=" + url.QueryEscape(session) + " HTTP/1.1\r\n" +
-			"Host: " + node + "\r\nContent-Type: application/octet-stream\r\n",
+			"Host: " + node + "\r\n",
 	}, nil
 }
 
@@ -618,6 +618,9 @@ func (s *Session) pump() {
 		if ok {
 			s.setReport(p.seq, rep)
 		}
+		// Clear the slot first: the backing array outlives the reslice
+		// and would keep the section's payload and trace reachable.
+		s.pending[0] = nil
 		s.pending = s.pending[1:]
 		s.pendingBytes -= int64(len(p.payload))
 		s.cond.Broadcast()

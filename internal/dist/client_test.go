@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -465,6 +467,45 @@ func TestBufferCapAndBackpressure(t *testing.T) {
 	}
 	if snap.DistSectionsDropped != 0 {
 		t.Fatalf("dropped = %d under backpressure mode, want 0", snap.DistSectionsDropped)
+	}
+}
+
+// TestAckedSectionsReleased: once a section is acknowledged, an open
+// session no longer holds its trace (or its payload). All sections are
+// buffered before the first ack, so the pump pops every one of them
+// from one backing array, which outlives each reslice: a slot left set
+// there keeps its section reachable until the session closes.
+func TestAckedSectionsReleased(t *testing.T) {
+	const n = 200
+	gate := make(chan struct{})
+	tr := &funcTransport{
+		sectionFn: func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error) {
+			if seq == 0 {
+				<-gate
+			}
+			return ackReport(seq), nil
+		},
+	}
+	c, _, _ := testCoordinator(t, []string{"a:1"}, tr, nil)
+	s := c.OpenSession("release", core.X86{})
+	defer s.Close()
+	var collected atomic.Int64
+	for i := 0; i < n; i++ {
+		sec := testTrace(i)
+		runtime.SetFinalizer(sec, func(*trace.Trace) { collected.Add(1) })
+		s.Submit(sec)
+	}
+	close(gate)
+	if got := len(s.Wait()); got != n {
+		t.Fatalf("got %d reports, want %d", got, n)
+	}
+	// The pump may still hold the last section it resolved.
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < n-1 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got < n-1 {
+		t.Fatalf("%d of %d acknowledged traces collected while the session is open, want at least %d", got, n, n-1)
 	}
 }
 

@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"hash/crc32"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,5 +111,118 @@ func TestNodeProtocol(t *testing.T) {
 
 	if err := ht.CloseSession(ctx, addr, "s"); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestNodeInterleavedSessions streams two sessions' sections to one
+// node at once, each on its own stream with several sections in
+// flight, so the node decodes and checks them in an interleaved order
+// on two connections. The sessions' sections differ in shape: one
+// mixes sections past the pooled-buffer size with mid-size ones whose
+// ops carry file names, the other sends a few ops without names under
+// another model. A body buffer or decoded trace that leaked from one
+// section into the next, in a session or across the two, would change
+// a report: each must equal a local engine's.
+func TestNodeInterleavedSessions(t *testing.T) {
+	addr, _, _ := startTestNode(t)
+	sessions := []struct {
+		sid   string
+		rules core.RuleSet
+		trace func(i int) *trace.Trace
+	}{
+		{"wide", core.X86{}, func(i int) *trace.Trace {
+			n, every := 1+(i*37)%300, 1+i%4
+			if i%5 == 0 {
+				// Past maxBodyPrealloc on the wire. Few checks keep the ack
+				// small, so the sections in flight cannot fill both
+				// directions of a connection with small socket buffers.
+				n, every = 2000, 64
+			}
+			tr := &trace.Trace{Thread: i % 3}
+			for j := 0; j < n; j++ {
+				addr := uint64(0x100000 + j*64)
+				tr.Ops = append(tr.Ops, trace.Op{Kind: trace.KindWrite, Addr: addr, Size: 8, File: "wide.go", Line: j})
+				if j%3 == 0 {
+					tr.Ops = append(tr.Ops, trace.Op{Kind: trace.KindFlush, Addr: addr, Size: 8, File: "wide.go", Line: j})
+				}
+			}
+			tr.Ops = append(tr.Ops, trace.Op{Kind: trace.KindFence})
+			for j := 0; j < n; j += every {
+				tr.Ops = append(tr.Ops, trace.Op{Kind: trace.KindIsPersist, Addr: uint64(0x100000 + j*64), Size: 8, File: "check.go", Line: i})
+			}
+			return tr
+		}},
+		{"narrow", core.HOPS{}, func(i int) *trace.Trace {
+			a, b := uint64(0x2000+i*8), uint64(0x3000+i*8)
+			tr := &trace.Trace{Ops: []trace.Op{
+				{Kind: trace.KindWrite, Addr: a, Size: 8},
+				{Kind: trace.KindWrite, Addr: b, Size: 8},
+			}}
+			if i%2 == 0 {
+				tr.Ops = append(tr.Ops, trace.Op{Kind: trace.KindOFence})
+			}
+			tr.Ops = append(tr.Ops, trace.Op{Kind: trace.KindIsOrderedBefore, Addr: a, Size: 8, Addr2: b, Size2: 8})
+			return tr
+		}},
+	}
+	const sections, inFlight = 60, 4
+	ht := &HTTPTransport{}
+	got := make([][]core.Report, len(sessions))
+	errs := make(chan error, len(sessions))
+	var wg sync.WaitGroup
+	for k, sc := range sessions {
+		if _, err := ht.Open(context.Background(), addr, OpenRequest{Version: ProtocolVersion, Session: sc.sid, Model: sc.rules.Name()}); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ht.Stream(addr, sc.sid, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; seq < sections+inFlight; seq++ {
+				if seq < sections {
+					var buf bytes.Buffer
+					if err := trace.Encode(&buf, sc.trace(seq)); err != nil {
+						errs <- err
+						return
+					}
+					if err := st.Send(uint64(seq), buf.Bytes(), crc32.ChecksumIEEE(buf.Bytes()), 0); err != nil {
+						errs <- err
+						return
+					}
+				}
+				if seq >= inFlight {
+					rep, err := st.Recv()
+					if err != nil {
+						errs <- fmt.Errorf("%s: ack %d: %w", sc.sid, seq-inFlight, err)
+						return
+					}
+					got[k] = append(got[k], rep)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for k, sc := range sessions {
+		eng := core.NewEngine(core.Options{Rules: sc.rules})
+		for i := 0; i < sections; i++ {
+			eng.Submit(sc.trace(i))
+		}
+		want := eng.Close()
+		if !reflect.DeepEqual(got[k], want) {
+			for i := range want {
+				if i >= len(got[k]) || !reflect.DeepEqual(got[k][i], want[i]) {
+					t.Fatalf("%s: first differing report is section %d of %d", sc.sid, i, sections)
+				}
+			}
+			t.Fatalf("%s: %d reports, want %d", sc.sid, len(got[k]), len(want))
+		}
 	}
 }

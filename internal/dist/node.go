@@ -35,17 +35,17 @@ type NodeConfig struct {
 	// opens beyond it are refused with 503 (retryable client-side).
 	MaxSessions int
 	// SessionTTL reaps sessions idle longer than this (default 5m), so
-	// clients that failed over away do not pin engines forever.
+	// clients that failed over away do not pin sessions forever.
 	SessionTTL time.Duration
-	// Workers is the per-session engine worker count (default 1).
-	Workers int
-	// Shards enables sharded (address-striped) checking inside each
-	// hosted session's engine workers; <= 1 keeps the serial path.
-	// Reports stay byte-identical either way.
+	// Shards enables sharded (address-striped) checking of each hosted
+	// session's sections; <= 1 keeps the serial path. Reports stay
+	// byte-identical either way.
 	Shards int
 	// EpochGC enables epoch-based retirement of closed shadow-memory
-	// segments in hosted engines, bounding node memory when clients
-	// stream very long runs.
+	// segments in hosted sessions, bounding node memory when clients
+	// stream very long runs. Reports can differ from a serial check: a
+	// checker or flush over a retired range sees it as never written, so
+	// GC can drop a FAIL (an order-violation, say) or change a warning.
 	EpochGC bool
 
 	now func() time.Time // test hook
@@ -54,9 +54,8 @@ type NodeConfig struct {
 	lookedUp func(*nodeSession)
 }
 
-// Node hosts core-engine checking sessions behind the HTTP section
-// protocol. One Node serves many sessions; cmd/pmtestd runs one Node
-// per process.
+// Node hosts checking sessions behind the HTTP section protocol. One
+// Node serves many sessions; cmd/pmtestd runs one Node per process.
 type Node struct {
 	cfg NodeConfig
 
@@ -66,33 +65,40 @@ type Node struct {
 	closed    bool
 }
 
-// nodeSession is one hosted checking session: a dedicated engine plus
-// the sequence bookkeeping that makes section delivery idempotent. The
-// engine holds the session's only copy of its reports.
+// nodeSession is one hosted checking session: the worker that checks
+// its sections, its reports, and the sequence bookkeeping that makes
+// section delivery idempotent. A section request holds mu from its
+// check until its ack is written, so the session checks one section at
+// a time, on the request's goroutine.
 type nodeSession struct {
 	mu     sync.Mutex
-	engine *core.Engine
-	// base is the seq of the first section this engine saw; the
-	// engine's trace IDs are seq-base.
+	worker *core.Worker
+	// base is the seq of the first section this session checked; the
+	// worker's trace IDs are seq-base.
 	base uint64
-	// applied is the next seq expected. seq < applied replays the
-	// engine's report; seq > applied is a gap (409).
-	applied  uint64
+	// reports holds each checked section's report at index seq-base, so
+	// base+len(reports) is the next seq expected. A smaller seq replays
+	// its report; a larger one is a gap (409).
+	reports  []core.Report
 	lastUsed time.Time
-	// closed is set, under mu, before the engine is closed. A section
-	// handler that looked the session up before it left the node's map
-	// then answers 404 instead of submitting to a closed engine.
+	// closed is set, under mu, when the session leaves the node. A
+	// section handler that looked the session up before it left the
+	// node's map then answers 404 instead of checking.
 	closed bool
 }
 
-// close marks the session closed and returns how many sections it
-// checked. Whoever removes a session from the node's map calls it once,
-// then closes the engine.
+// next returns the next seq the session expects; callers hold s.mu.
+func (s *nodeSession) next() uint64 { return s.base + uint64(len(s.reports)) }
+
+// close marks the session closed, stops its worker and returns how
+// many sections it checked. Whoever removes a session from the node's
+// map calls it once.
 func (s *nodeSession) close() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	return s.applied - s.base
+	s.worker.Close()
+	return uint64(len(s.reports))
 }
 
 // NewNode returns a node ready to mount: its ServeHTTP handles the
@@ -103,9 +109,6 @@ func NewNode(cfg NodeConfig) *Node {
 	}
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = 5 * time.Minute
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -129,7 +132,6 @@ func (n *Node) Close() {
 	n.mu.Unlock()
 	for _, s := range sessions {
 		s.close()
-		s.engine.Close()
 	}
 }
 
@@ -185,11 +187,10 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 	if sess != nil && sess.base != req.StartSeq {
 		// A re-open at a different start point supersedes the old
 		// incarnation (the client failed over away and came back with a
-		// new replay window); the old engine's reports are already held
+		// new replay window); the old session's reports are already held
 		// client-side or will be re-checked.
 		delete(n.sessions, req.Session)
 		sess.close()
-		go sess.engine.Close()
 		sess = nil
 	}
 	if sess == nil {
@@ -207,17 +208,15 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 			observers = append(observers, flight.EngineObserver(n.cfg.Flight))
 		}
 		sess = &nodeSession{
-			engine: core.NewEngine(core.Options{
+			worker: core.NewWorker(core.Options{
 				Rules:          rules,
-				Workers:        n.cfg.Workers,
 				Check:          core.Config{Shards: n.cfg.Shards, EpochGC: n.cfg.EpochGC},
 				TrackOnly:      req.TrackOnly,
 				StaticExcludes: excludes,
 				Observer:       obs.Multi(observers...),
 				Logger:         n.cfg.Logger,
 			}),
-			base:    req.StartSeq,
-			applied: req.StartSeq,
+			base: req.StartSeq,
 		}
 		n.sessions[req.Session] = sess
 		if lg := n.cfg.Logger; lg != nil {
@@ -227,7 +226,7 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	sess.lastUsed = n.cfg.now()
-	next := sess.applied
+	next := sess.next()
 	sess.mu.Unlock()
 	n.mu.Unlock()
 
@@ -261,7 +260,9 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := n.cfg.Limits.WithDefaults()
-	body, err := readBody(r, lim.MaxBytes+1)
+	sb := sectionPool.Get().(*sectionBuf)
+	defer sb.release()
+	body, err := sb.read(r, lim.MaxBytes+1)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading section: %v", err)
 		return
@@ -299,30 +300,31 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.lastUsed = n.cfg.now()
-	switch {
+	switch next := sess.next(); {
 	case seq < sess.base:
-		// Acknowledged before this engine's replay window — the client
+		// Acknowledged before this session's replay window — the client
 		// already holds that report and never legitimately re-asks.
 		rpcSpan.SetErr(true)
 		httpError(w, http.StatusConflict, "seq %d precedes session base %d", seq, sess.base)
 		return
-	case seq > sess.applied:
+	case seq > next:
 		rpcSpan.SetErr(true)
-		httpError(w, http.StatusConflict, "seq %d leaves a gap (next expected %d)", seq, sess.applied)
+		httpError(w, http.StatusConflict, "seq %d leaves a gap (next expected %d)", seq, next)
 		return
-	case seq == sess.applied:
-		tr, err := trace.DecodeLimited(bytes.NewReader(body), n.cfg.Limits)
-		if err != nil {
+	case seq == next:
+		tr := &sb.tr
+		if err := trace.DecodeBytes(tr, body, n.cfg.Limits); err != nil {
 			rpcSpan.SetErr(true)
 			httpError(w, http.StatusBadRequest, "undecodable section: %v", err)
 			return
 		}
 		// Stamp the client's correlation identity on the trace before it
-		// reaches the engine: the observer seam copies it onto the
-		// node-side engine/stripe/checker spans and log records. The
-		// node's own rpc span becomes the section's local parent, so the
-		// node timeline stays a well-formed tree (rpc → check → stripes)
-		// while remote_span_id points back across the process boundary.
+		// is checked: the observer seam copies it onto the node-side
+		// engine/stripe/checker spans and log records. The node's own rpc
+		// span becomes the section's local parent, so the node timeline
+		// stays a well-formed tree (rpc → check → stripes) while
+		// remote_span_id points back across the process boundary.
+		tr.ID = int(seq - sess.base)
 		tr.RemoteSession = sid
 		tr.RemoteSpan = remoteSpan
 		if rpcSpan != nil {
@@ -332,36 +334,57 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 			lg.Debug("dist section received", "session", sid, "seq", seq,
 				"remote_session_id", sid, "remote_span_id", remoteSpan, "bytes", len(body))
 		}
-		sess.engine.Submit(tr)
-		sess.applied++
+		rep := sess.worker.Check(tr)
+		rep.TraceID = int(seq)
+		sess.reports = append(sess.reports, rep)
 	default:
-		// Duplicate delivery (seq < applied) replays the engine's report:
+		// Duplicate delivery (seq < next) replays the stored report:
 		// idempotent after a lost ack. Tagged so a span search can count
 		// redeliveries per session.
 		rpcSpan.SetInt("replay", 1)
 	}
-	rep := sess.engine.WaitReport(int(seq - sess.base))
-	rep.TraceID = int(seq)
-	writeJSON(w, rep)
+	writeJSON(w, sess.reports[seq-sess.base])
 }
 
 // maxBodyPrealloc caps the buffer a section body reserves from its
 // Content-Length before any byte arrives, so a lying header cannot make
-// the node commit more than this up front.
+// the node commit more than this up front. Pooled section buffers that
+// grew past it are dropped, not kept.
 const maxBodyPrealloc = 64 << 10
 
-// readBody reads at most limit bytes of a section body into one buffer
-// sized from Content-Length, so a section arrives without io.ReadAll's
-// grow ramp. The MinRead spare bytes let the final read see EOF without
-// growing the buffer.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	var size int64
+// sectionBuf is one section request's body and the trace decoded from
+// it, pooled across requests and sessions: the body buffer, and the
+// trace's op slice, which DecodeBytes sizes from the body, are reused.
+type sectionBuf struct {
+	body bytes.Buffer
+	lim  io.LimitedReader
+	tr   trace.Trace
+}
+
+var sectionPool = sync.Pool{New: func() any { return new(sectionBuf) }}
+
+// read reads at most limit bytes of r's body into b. The buffer is
+// presized from Content-Length, up to maxBodyPrealloc, plus the MinRead
+// spare bytes that let the final read see EOF without growing it.
+func (b *sectionBuf) read(r *http.Request, limit int64) ([]byte, error) {
+	b.body.Reset()
 	if r.ContentLength > 0 {
-		size = min(r.ContentLength, maxBodyPrealloc)
+		b.body.Grow(int(min(r.ContentLength, maxBodyPrealloc)) + bytes.MinRead)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, limit))
-	return buf.Bytes(), err
+	b.lim = io.LimitedReader{R: r.Body, N: limit}
+	_, err := b.body.ReadFrom(&b.lim)
+	b.lim.R = nil
+	return b.body.Bytes(), err
+}
+
+// release returns b to the pool unless its body buffer is larger than
+// maxBodyPrealloc: a large section's buffers go to the collector. The
+// trace is bounded with the body, since DecodeBytes holds no more ops
+// than the body's bytes encode.
+func (b *sectionBuf) release() {
+	if b.body.Cap() <= maxBodyPrealloc {
+		sectionPool.Put(b)
+	}
 }
 
 // handleReports serves the coordinator read path: every report this
@@ -380,11 +403,10 @@ func (n *Node) handleReports(w http.ResponseWriter, r *http.Request) {
 	n.mu.Unlock()
 	out := ReportsResponse{Session: sid, Reports: []core.Report{}}
 	if sess != nil {
+		sess.mu.Lock()
 		out.StartSeq = sess.base
-		out.Reports = sess.engine.Wait()
-		for i := range out.Reports {
-			out.Reports[i].TraceID = int(out.StartSeq) + i
-		}
+		out.Reports = append(out.Reports, sess.reports...)
+		sess.mu.Unlock()
 	}
 	writeJSON(w, out)
 }
@@ -400,7 +422,6 @@ func (n *Node) handleClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	count := sess.close()
-	sess.engine.Close()
 	if lg := n.cfg.Logger; lg != nil {
 		lg.Info("dist session closed", "session", sid, "sections", count)
 	}
@@ -422,7 +443,6 @@ func (n *Node) sweepLocked() {
 		if idle > n.cfg.SessionTTL {
 			delete(n.sessions, sid)
 			s.close()
-			go s.engine.Close()
 			if lg := n.cfg.Logger; lg != nil {
 				lg.Warn("dist session reaped", "session", sid, "idle", idle)
 			}

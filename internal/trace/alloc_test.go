@@ -32,7 +32,8 @@ func TestEncodeAllocCeiling(t *testing.T) {
 // a *bytes.Reader: the trace, its op slice and the scratch buffer the
 // fixed-width op tails are read into. The decoder reads the in-memory
 // source directly; wrapping it in a bufio.Reader would add a 4 KiB
-// buffer per section.
+// buffer per section. DecodeBytes into a reused Trace, the pmtestd
+// node's path, allocates nothing for a section without file names.
 func TestDecodeAllocCeiling(t *testing.T) {
 	in := &Trace{ID: 7, Thread: 3}
 	for i := 0; i < 38; i++ {
@@ -52,6 +53,16 @@ func TestDecodeAllocCeiling(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Fatalf("Decode: %.1f allocs/op, ceiling %v", allocs, ceiling)
+	}
+
+	var reused Trace
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := DecodeBytes(&reused, buf.Bytes(), DefaultLimits); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("DecodeBytes into a reused trace: %.1f allocs/op, ceiling 0", allocs)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -128,6 +129,64 @@ type byteReader interface {
 // 28-byte stream header fits in the same scratch buffer.
 const opTailSize = opWireSize - 1
 
+// headerSize is the wire size of a section's header: the magic, the
+// ID, the thread and the op count.
+const headerSize = 4 + 3*8
+
+// sectionDecoder holds the limits both decode entry points enforce:
+// the header's op count and the section's running wire size. With
+// checkKind and parseOp it is all they share; only reading the bytes
+// differs between a stream and a slice.
+type sectionDecoder struct {
+	lim  Limits
+	wire int64 // wire bytes of the section so far
+}
+
+// header parses the 24 header bytes after the magic and refuses an op
+// count the limits cannot admit.
+func (d *sectionDecoder) header(h []byte) (id, thread, n uint64, err error) {
+	le := binary.LittleEndian
+	id, thread, n = le.Uint64(h[0:]), le.Uint64(h[8:]), le.Uint64(h[16:])
+	if n > uint64(d.lim.MaxOps) {
+		return 0, 0, 0, &LimitError{What: "ops", Got: n, Max: uint64(d.lim.MaxOps)}
+	}
+	if wire := n * opWireSize; wire > uint64(d.lim.MaxBytes) {
+		return 0, 0, 0, &LimitError{What: "bytes", Got: wire, Max: uint64(d.lim.MaxBytes)}
+	}
+	d.wire = headerSize
+	return id, thread, n, nil
+}
+
+// checkKind checks op i's kind byte.
+func checkKind(k byte, i uint64) error {
+	if Kind(k) >= kindMax || Kind(k) == KindInvalid {
+		return fmt.Errorf("trace: invalid op kind %d at op %d", k, i)
+	}
+	return nil
+}
+
+// charge adds an op's wire size, file name included, to the section's
+// and refuses the section once that exceeds MaxBytes.
+func (d *sectionDecoder) charge(fileLen int) error {
+	if d.wire += opWireSize + int64(fileLen); d.wire > d.lim.MaxBytes {
+		return &LimitError{What: "bytes", Got: uint64(d.wire), Max: uint64(d.lim.MaxBytes)}
+	}
+	return nil
+}
+
+// parseOp parses an op's fixed-width tail: Addr, Size, Addr2, Size2,
+// the line and the file-name length. It returns the op without its file
+// name, and the name's length.
+func parseOp(k byte, tail []byte) (Op, int) {
+	le := binary.LittleEndian
+	return Op{
+		Kind: Kind(k),
+		Addr: le.Uint64(tail[0:]), Size: le.Uint64(tail[8:]),
+		Addr2: le.Uint64(tail[16:]), Size2: le.Uint64(tail[24:]),
+		Line: int(le.Uint32(tail[32:])),
+	}, int(le.Uint16(tail[36:]))
+}
+
 // DecodeLimited reads one trace in the Encode format, refusing sections
 // that exceed the given limits with a *LimitError. Allocation is capped
 // independently of the wire length prefix: capacity is committed in
@@ -139,69 +198,106 @@ const opTailSize = opWireSize - 1
 // exactly the section's bytes; any other source is wrapped in a
 // bufio.Reader, which may read past the section.
 func DecodeLimited(r io.Reader, lim Limits) (*Trace, error) {
-	lim = lim.WithDefaults()
+	d := sectionDecoder{lim: lim.WithDefaults()}
 	br, ok := r.(byteReader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	le := binary.LittleEndian
 	var buf [opTailSize]byte
 	if _, err := io.ReadFull(br, buf[:4]); err != nil {
 		return nil, err
 	}
-	if le.Uint32(buf[:4]) != encMagic {
+	if binary.LittleEndian.Uint32(buf[:4]) != encMagic {
 		return nil, ErrBadTrace
 	}
-	if _, err := io.ReadFull(br, buf[:3*8]); err != nil {
+	if _, err := io.ReadFull(br, buf[:headerSize-4]); err != nil {
 		return nil, ErrBadTrace
 	}
-	id, thread, n := le.Uint64(buf[0:]), le.Uint64(buf[8:]), le.Uint64(buf[16:])
-	if n > uint64(lim.MaxOps) {
-		return nil, &LimitError{What: "ops", Got: n, Max: uint64(lim.MaxOps)}
-	}
-	if wire := n * opWireSize; wire > uint64(lim.MaxBytes) {
-		return nil, &LimitError{What: "bytes", Got: wire, Max: uint64(lim.MaxBytes)}
+	id, thread, n, err := d.header(buf[:headerSize-4])
+	if err != nil {
+		return nil, err
 	}
 	// Reserve at most one chunk up front; beyond that, append grows the
 	// slice only as decoded ops are actually backed by input bytes.
-	cap0 := n
-	if cap0 > allocChunkOps {
-		cap0 = allocChunkOps
-	}
-	wireBytes := int64(4 + 3*8)
-	t := &Trace{ID: int(id), Thread: int(thread), Ops: make([]Op, 0, cap0)}
+	t := &Trace{ID: int(id), Thread: int(thread), Ops: make([]Op, 0, min(n, allocChunkOps))}
 	for i := uint64(0); i < n; i++ {
-		kind, err := br.ReadByte()
+		k, err := br.ReadByte()
 		if err != nil {
 			return nil, ErrBadTrace
 		}
-		if Kind(kind) >= kindMax || Kind(kind) == KindInvalid {
-			return nil, fmt.Errorf("trace: invalid op kind %d at op %d", kind, i)
+		if err := checkKind(k, i); err != nil {
+			return nil, err
 		}
-		// Addr, Size, Addr2, Size2, the line and the file-name length.
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, ErrBadTrace
 		}
-		fileLen := le.Uint16(buf[36:])
-		if wireBytes += opWireSize + int64(fileLen); wireBytes > lim.MaxBytes {
-			return nil, &LimitError{What: "bytes", Got: uint64(wireBytes), Max: uint64(lim.MaxBytes)}
+		op, fileLen := parseOp(k, buf[:])
+		if err := d.charge(fileLen); err != nil {
+			return nil, err
 		}
-		var file string
 		if fileLen > 0 {
 			name := make([]byte, fileLen)
 			if _, err := io.ReadFull(br, name); err != nil {
 				return nil, ErrBadTrace
 			}
-			file = string(name)
+			op.File = string(name)
 		}
-		t.Ops = append(t.Ops, Op{
-			Kind: Kind(kind),
-			Addr: le.Uint64(buf[0:]), Size: le.Uint64(buf[8:]),
-			Addr2: le.Uint64(buf[16:]), Size2: le.Uint64(buf[24:]),
-			File: file, Line: int(le.Uint32(buf[32:])),
-		})
+		t.Ops = append(t.Ops, op)
 	}
 	return t, nil
+}
+
+// DecodeBytes decodes the section at the start of b into t, with
+// DecodeLimited's limits and errors; bytes after the section are
+// ignored, as DecodeLimited leaves them unread. t is overwritten whole
+// and keeps the capacity of its op slice, so a caller that decodes
+// section after section into one Trace allocates nothing for sections
+// without file names. Since the input is already in memory, up-front
+// capacity is bounded by the ops b can hold, not by the length prefix.
+// After an error t's contents are unspecified.
+func DecodeBytes(t *Trace, b []byte, lim Limits) error {
+	d := sectionDecoder{lim: lim.WithDefaults()}
+	switch {
+	case len(b) == 0:
+		return io.EOF
+	case len(b) < 4:
+		return io.ErrUnexpectedEOF
+	case binary.LittleEndian.Uint32(b) != encMagic, len(b) < headerSize:
+		return ErrBadTrace
+	}
+	id, thread, n, err := d.header(b[4:headerSize])
+	if err != nil {
+		return err
+	}
+	*t = Trace{ID: int(id), Thread: int(thread),
+		Ops: slices.Grow(t.Ops[:0], int(min(n, uint64(len(b)-headerSize)/opWireSize)))}
+	off := headerSize
+	for i := uint64(0); i < n; i++ {
+		if off >= len(b) {
+			return ErrBadTrace
+		}
+		k := b[off]
+		if err := checkKind(k, i); err != nil {
+			return err
+		}
+		if off+opWireSize > len(b) {
+			return ErrBadTrace
+		}
+		op, fileLen := parseOp(k, b[off+1:off+opWireSize])
+		if err := d.charge(fileLen); err != nil {
+			return err
+		}
+		off += opWireSize
+		if fileLen > 0 {
+			if off+fileLen > len(b) {
+				return ErrBadTrace
+			}
+			op.File = string(b[off : off+fileLen])
+			off += fileLen
+		}
+		t.Ops = append(t.Ops, op)
+	}
+	return nil
 }
 
 // EncodeAll writes several traces back to back.

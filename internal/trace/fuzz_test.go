@@ -21,9 +21,10 @@ func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
 // tight-limit pass additionally proves hostile input cannot buy a large
 // allocation: whatever the length prefix claims, decoding under small
 // limits either succeeds within them or returns a typed *LimitError.
-// Both source paths are decoded under both limits and must agree: a
-// *bytes.Reader read directly and a plain io.Reader the decoder buffers
-// itself give identical traces or identical errors.
+// Three decodes run under both limits and must agree: a *bytes.Reader
+// read directly, a plain io.Reader the decoder buffers itself, and
+// DecodeBytes into a Trace that still holds another section. They give
+// identical traces or identical errors.
 func FuzzDecode(f *testing.F) {
 	var seed bytes.Buffer
 	Encode(&seed, &Trace{ID: 1, Thread: 2, Ops: []Op{
@@ -50,6 +51,12 @@ func FuzzDecode(f *testing.F) {
 			if fmt.Sprint(derr) != fmt.Sprint(berr) || !reflect.DeepEqual(direct, buffered) {
 				t.Fatalf("limits %+v: direct decode (%v, %v) != buffered decode (%v, %v)",
 					l, direct, derr, buffered, berr)
+			}
+			reused := staleTrace()
+			serr := DecodeBytes(reused, data, l)
+			if fmt.Sprint(derr) != fmt.Sprint(serr) || (derr == nil && !reflect.DeepEqual(direct, reused)) {
+				t.Fatalf("limits %+v: direct decode (%v, %v) != DecodeBytes (%v, %v)",
+					l, direct, derr, reused, serr)
 			}
 		}
 		if tr, err := DecodeLimited(bytes.NewReader(data), lim); err == nil {
@@ -78,4 +85,12 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("round trip after decode not stable")
 		}
 	})
+}
+
+// staleTrace is a Trace as a decoder finds it when it is reused: every
+// field holds an earlier section's values.
+func staleTrace() *Trace {
+	return &Trace{ID: 99, Thread: 98, SpanID: 97, RemoteSession: "stale", RemoteSpan: 96,
+		TxSpans: []SpanRange{{}},
+		Ops:     []Op{{Kind: KindFence, File: "stale.go", Line: 1}, {Kind: KindWrite, Addr: 1, Size: 2}}}
 }

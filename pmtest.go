@@ -108,6 +108,9 @@ type Config struct {
 	// EpochGC retires shadow-memory segments whose intervals closed more
 	// than a lag of epochs ago, bounding checker memory over long
 	// streaming runs. Composes with Shards; works on the serial path too.
+	// Reports can differ from a run without it: a checker or flush over
+	// a retired range sees it as never written, so GC can drop a FAIL
+	// (an order-violation, say) or change a warning.
 	EpochGC bool
 	// TrackOnly records and ships traces but skips checker validation;
 	// used to measure framework overhead in isolation (Fig. 10b).
