@@ -285,7 +285,7 @@ func ablateGCStream(b *testing.B, shards int) {
 		ops = append(ops, tracepkg.Op{Kind: tracepkg.KindFence})
 	}
 	tr := &tracepkg.Trace{Ops: ops}
-	c := core.NewShardedChecker(core.X86{}, core.Config{Shards: shards, EpochGC: true})
+	c := core.NewChecker(core.X86{}, core.Config{Shards: shards, EpochGC: true})
 	defer c.Close()
 	c.Check(tr, nil) // warm the segment slices
 	b.ResetTimer()

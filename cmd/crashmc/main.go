@@ -16,7 +16,6 @@
 //	                                              # pmlint findings order the classes
 //	go run ./cmd/crashmc -json                    # machine-readable result
 //	go run ./cmd/crashmc -strict                  # exit 1 on soundness violations
-//	go run ./cmd/crashmc -bench out.json          # write campaign throughput
 //	go run ./cmd/crashmc -obs-listen :8081        # live observability endpoint (pmtop-pollable)
 package main
 
@@ -50,7 +49,6 @@ var (
 	flagJSON       = flag.Bool("json", false, "emit the full result as JSON")
 	flagStrict     = flag.Bool("strict", false, "exit non-zero on soundness violations")
 	flagList       = flag.Bool("list", false, "list workloads and fault classes, then exit")
-	flagBench      = flag.String("bench", "", "write campaign throughput JSON to this file")
 	flagFlight     = flag.String("flight-out", "", "write the campaign's span timeline (one span per schedule) as Chrome trace-event JSON to this file")
 	flagObs        = flag.String("obs-listen", "", "serve the live observability endpoint (versioned snapshot at /obs/v1/snapshot, span browse at /flight) at this address, e.g. :8081")
 	flagPProf      = flag.Bool("pprof", false, "additionally mount net/http/pprof under /debug/pprof/ on the -obs-listen address")
@@ -119,12 +117,6 @@ func main() {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-
-	if *flagBench != "" {
-		if err := writeBench(*flagBench, res, elapsed); err != nil {
-			fatal(err)
-		}
-	}
 
 	if *flagFlight != "" {
 		if err := writeFlight(*flagFlight, rec); err != nil {
@@ -251,41 +243,6 @@ func printHuman(res *faultinject.Result, elapsed time.Duration) {
 			fmt.Printf("  %s\n", r)
 		}
 	}
-}
-
-// benchOut is the BENCH_robustness.json shape: campaign throughput.
-type benchOut struct {
-	Seed             int64   `json:"seed"`
-	SchedulesRun     int     `json:"schedules_run"`
-	FaultsInjected   uint64  `json:"faults_injected"`
-	StatesExplored   uint64  `json:"states_explored"`
-	RecoveryFailures uint64  `json:"recovery_failures"`
-	Repros           int     `json:"repros"`
-	ElapsedSec       float64 `json:"elapsed_sec"`
-	FaultsPerSec     float64 `json:"faults_per_sec"`
-	StatesPerSec     float64 `json:"states_per_sec"`
-	SchedulesPerSec  float64 `json:"schedules_per_sec"`
-}
-
-func writeBench(path string, res *faultinject.Result, elapsed time.Duration) error {
-	sec := elapsed.Seconds()
-	if sec <= 0 {
-		sec = 1e-9
-	}
-	b := benchOut{
-		Seed: res.Seed, SchedulesRun: res.SchedulesRun,
-		FaultsInjected: res.FaultsInjected, StatesExplored: res.StatesExplored,
-		RecoveryFailures: res.RecoveryFailures, Repros: len(res.Repros),
-		ElapsedSec:      sec,
-		FaultsPerSec:    float64(res.FaultsInjected) / sec,
-		StatesPerSec:    float64(res.StatesExplored) / sec,
-		SchedulesPerSec: float64(res.SchedulesRun) / sec,
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func writeFlight(path string, rec *flight.Recorder) error {

@@ -18,8 +18,8 @@ type Range struct {
 }
 
 // CheckTrace runs the checking rules over one trace and returns its
-// report. It is a pure function of (rules, trace); the worker pool and the
-// inline-ablation benchmark both call it.
+// report. It is a pure function of (rules, trace): the report every
+// Checker without epoch GC gives for t, however many stripes it has.
 func CheckTrace(rules RuleSet, t *trace.Trace) Report {
 	return CheckTraceExcluding(rules, t, nil)
 }
@@ -38,17 +38,18 @@ const maxDiagsPerTrace = 1000
 var statePool = sync.Pool{New: func() any { statePoolMisses.Add(1); return NewState() }}
 
 // Pool and shadow-memory accounting for the observability plane. The
-// counters are process-global like the pool itself: two atomic adds per
-// checked trace, nothing on the per-op path.
+// counters are process-global like the pool itself: a few atomic adds
+// per checked trace, nothing on the per-op path.
 var (
 	statePoolGets   atomic.Uint64
 	statePoolMisses atomic.Uint64
-	// shadowIntervalsLast/Max track the interval population of the most
-	// recently checked trace's shadow memory and its high-water mark —
-	// the "is shadow memory growing without bound?" gauge a long-lived
-	// session needs.
+	// shadowIntervalsLast/Max track the PeakIntervals of the most
+	// recently checked trace and its high-water mark — the "is shadow
+	// memory growing without bound?" gauge a long-lived session needs.
 	shadowIntervalsLast atomic.Uint64
 	shadowIntervalsMax  atomic.Uint64
+	// gcRetiredTotal counts the shadow segments epoch GC retired.
+	gcRetiredTotal atomic.Uint64
 )
 
 // ResourceStats reports checking-tier resource accounting for the
@@ -70,39 +71,33 @@ func ResourceStats() obs.Resources {
 	return r
 }
 
-// recordShadowStats publishes the interval population of a just-checked
-// state before it is Reset for the pool.
-func recordShadowStats(s *State) {
-	n := uint64(s.Mem.Len() + s.Log.Len() + s.Written.Len() + s.Excluded.Len())
-	recordShadowPeak(n)
-}
-
-// recordShadowPeak publishes a shadow-memory interval population sample
-// (the sharded path reports its summed per-stripe peak here).
-func recordShadowPeak(n uint64) {
+// publishStats records one check's shadow-memory peak and GC
+// retirements in the gauges ResourceStats reads. Every check publishes
+// exactly once, from the path that produced its report.
+func publishStats(stats CheckStats) {
+	n := uint64(stats.PeakIntervals)
 	shadowIntervalsLast.Store(n)
 	for {
 		old := shadowIntervalsMax.Load()
 		if n <= old || shadowIntervalsMax.CompareAndSwap(old, n) {
-			return
+			break
 		}
+	}
+	if stats.RetiredIntervals > 0 {
+		gcRetiredTotal.Add(stats.RetiredIntervals)
 	}
 }
 
 // CheckTraceExcluding is CheckTrace with session-wide static exclusions
 // seeded into the fresh state of every trace (library metadata regions —
 // undo logs, allocator headers — are excluded for the whole run rather
-// than re-announced in each trace section).
+// than re-announced in each trace section). It is a Checker's
+// one-stripe check under the zero Config.
 //
 // The checking state is drawn from an internal pool; CheckTraceInto is
 // the same computation against a caller-managed State.
 func CheckTraceExcluding(rules RuleSet, t *trace.Trace, excludes []Range) Report {
-	statePoolGets.Add(1)
-	s := statePool.Get().(*State)
-	rep := CheckTraceInto(s, rules, t, excludes)
-	recordShadowStats(s)
-	s.Reset() // detaches rep's diagnostics before the state is reused
-	statePool.Put(s)
+	rep, _ := checkOne(rules, Config{}, t, excludes)
 	return rep
 }
 
@@ -192,9 +187,10 @@ type Options struct {
 	QueueDepth int
 	// StaticExcludes are ranges excluded from checking in every trace.
 	StaticExcludes []Range
-	// Check configures the sharded streaming checker and its epoch GC.
-	// The zero value keeps the pooled single-state path; Shards > 1 gives
-	// each worker its own ShardedChecker with byte-identical reports.
+	// Check configures each worker's Checker: its address stripes and
+	// epoch GC. The zero value checks every trace on one stripe on the
+	// worker's goroutine; Shards > 1 gives each worker that many stripe
+	// goroutines, with byte-identical reports.
 	Check Config
 	// Observer, when non-nil, receives per-trace lifecycle events
 	// (submit, dequeue, checked) plus backpressure stalls. When nil the
@@ -234,19 +230,16 @@ type task struct {
 }
 
 // Worker is one engine worker's per-trace work without its goroutine:
-// the track-only walk, the pooled serial check or the sharded/epoch-GC
-// checker (each recovers a panicking rule set into a CodeCheckerPanic
-// report), then the observer's dequeue and checked events and the log
-// record. Each engine worker goroutine runs one. A caller that checks
-// one trace at a time and waits for each report, as a pmtestd node
-// session does, calls one directly and needs no queue. A Worker is not
-// safe for concurrent use.
+// the track-only walk or its Checker (which recovers a panicking rule
+// set into a CodeCheckerPanic report), then the observer's dequeue and
+// checked events and the log record. Each engine worker goroutine runs
+// one. A caller that checks one trace at a time and waits for each
+// report, as a pmtestd node session does, calls one directly and needs
+// no queue. A Worker is not safe for concurrent use.
 type Worker struct {
-	opts Options
-	id   int
-	// sharded is the worker's ShardedChecker when Options.Check is active
-	// (striping and/or epoch GC); nil otherwise.
-	sharded *ShardedChecker
+	opts    Options
+	id      int
+	checker *Checker // nil when TrackOnly
 }
 
 // NewWorker returns a Worker that checks like one worker of an engine
@@ -256,9 +249,9 @@ func NewWorker(opts Options) *Worker { return newWorker(opts.withDefaults(), 0) 
 
 func newWorker(opts Options, id int) *Worker {
 	w := &Worker{opts: opts, id: id}
-	if opts.Check.active() && !opts.TrackOnly {
-		w.sharded = NewShardedChecker(opts.Rules, opts.Check)
-		w.sharded.Timed = opts.Observer != nil
+	if !opts.TrackOnly {
+		w.checker = NewChecker(opts.Rules, opts.Check)
+		w.checker.Timed = opts.Observer != nil
 	}
 	return w
 }
@@ -287,21 +280,18 @@ func (w *Worker) check(t *trace.Trace, enq time.Time) Report {
 	}
 	var r Report
 	var stats CheckStats
-	switch {
-	case w.opts.TrackOnly:
+	if w.checker == nil {
 		r = trackOnly(t)
-	case w.sharded != nil:
-		r, stats = w.sharded.Check(t, w.opts.StaticExcludes)
-		recordShadowPeak(uint64(stats.PeakIntervals))
-	default:
-		r = CheckTraceExcluding(w.opts.Rules, t, w.opts.StaticExcludes)
+	} else {
+		r, stats = w.checker.Check(t, w.opts.StaticExcludes)
 	}
 	if ob != nil {
 		ev := ReportEvent(t, r, w.id, start.Sub(enq), time.Since(start))
-		if stats.StripeDurs != nil {
-			// Copy: the checker reuses the slice on its next trace,
-			// and the event outlives this call in the recent ring.
-			ev.StripeDurs = append([]time.Duration(nil), stats.StripeDurs...)
+		if stats.Sharded {
+			// The checker is Timed when there is an observer. Copy: it
+			// reuses the slice on its next trace, and the event
+			// outlives this call in the recent ring.
+			ev.StripeDurs = append([]time.Duration(nil), w.checker.stripeDurs...)
 		}
 		ob.TraceChecked(ev)
 	}
@@ -311,11 +301,11 @@ func (w *Worker) check(t *trace.Trace, enq time.Time) Report {
 	return r
 }
 
-// Close stops the stripe goroutines of the worker's sharded checker, if
-// it has one. The worker must not be used afterwards.
+// Close stops the stripe goroutines of the worker's checker, if it has
+// any. The worker must not be used afterwards.
 func (w *Worker) Close() {
-	if w.sharded != nil {
-		w.sharded.Close()
+	if w.checker != nil {
+		w.checker.Close()
 	}
 }
 
@@ -506,15 +496,16 @@ func (e *Engine) QueueDepths() []int {
 }
 
 // StripeDepths returns the live number of ops assigned to each address
-// stripe, summed across the engine's workers — the sharded counterpart
-// of QueueDepths. Nil when the engine checks serially.
+// stripe, summed across the engine's workers — the striped counterpart
+// of QueueDepths. Nil when the engine checks on one stripe.
 func (e *Engine) StripeDepths() []int64 {
-	if e.workers[0].sharded == nil || !e.opts.Check.Sharded() {
+	c := e.workers[0].checker
+	if c == nil || c.states == nil {
 		return nil
 	}
-	out := make([]int64, e.opts.Check.Shards)
+	out := make([]int64, len(c.states))
 	for _, w := range e.workers {
-		w.sharded.AddStripeDepths(out)
+		w.checker.AddStripeDepths(out)
 	}
 	return out
 }

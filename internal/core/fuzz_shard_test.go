@@ -36,7 +36,7 @@ func FuzzShardRouter(f *testing.F) {
 			}
 		}
 		tr := &trace.Trace{Ops: ops}
-		cfg := Config{Shards: int(shards%8) + 2, ChunkBits: 8}
+		cfg := Config{Shards: int(shards%8) + 2, chunkBits: 8}
 		// The oracle is like-for-like: striping must never change a
 		// report at equal GC settings. (GC-on vs GC-off is NOT invariant
 		// on adversarial soup: once a segment is retired, a checker or

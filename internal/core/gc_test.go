@@ -113,9 +113,12 @@ func streamOps(rounds, window, slots, first int, stride uint64, flush bool) []tr
 
 // checkStream checks ops once under cfg and also returns the segments
 // left live in the checker's shadow memory (summed over its stripes).
+// The one-stripe check resets its pooled State when it is done, so
+// there the count comes from replaying ops on a fresh State with the
+// checker's GC settings.
 func checkStream(t *testing.T, rules RuleSet, ops []trace.Op, cfg Config) (Report, CheckStats, int) {
 	t.Helper()
-	c := NewShardedChecker(rules, cfg)
+	c := NewChecker(rules, cfg)
 	defer c.Close()
 	rep, stats := c.Check(&trace.Trace{Ops: ops}, nil)
 	live := 0
@@ -124,7 +127,10 @@ func checkStream(t *testing.T, rules RuleSet, ops []trace.Op, cfg Config) (Repor
 			live += s.Mem.Len()
 		}
 	} else {
-		live = c.serial.Mem.Len()
+		s := NewState()
+		s.gcOn, s.gcLag = c.cfg.EpochGC, c.cfg.GCLag
+		CheckTraceInto(s, rules, &trace.Trace{Ops: ops}, nil)
+		live = s.Mem.Len()
 	}
 	return rep, stats, live
 }

@@ -235,6 +235,121 @@ func TestTrackOnlyReportsTrackedOps(t *testing.T) {
 	}
 }
 
+// TestShadowGaugeMatchesPeak: every check publishes its own
+// PeakIntervals as the live shadow-interval gauge and adds its GC
+// retirements to the total exactly once, on one stripe and on four,
+// including a striped trace that reaches the diagnostic cap and re-runs
+// on one stripe.
+func TestShadowGaugeMatchesPeak(t *testing.T) {
+	var ops []trace.Op
+	for i := 0; i < 64; i++ {
+		a := uint64(i) * 4096
+		ops = append(ops,
+			trace.Op{Kind: trace.KindWrite, Addr: a, Size: 64},
+			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64})
+	}
+	section := &trace.Trace{Ops: append(ops, trace.Op{Kind: trace.KindFence})}
+	excludes := []Range{{Addr: 1 << 40, Size: 64}}
+	stream := &trace.Trace{Ops: streamOps(40, 8, 64, 0, 4096, true)}
+	ops = nil
+	for i := 0; i < 1100; i++ { // one duplicate writeback per round
+		a := uint64(i%64) * 4096
+		ops = append(ops,
+			trace.Op{Kind: trace.KindWrite, Addr: a, Size: 64},
+			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64},
+			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64},
+			trace.Op{Kind: trace.KindFence})
+	}
+	capped := &trace.Trace{Ops: ops}
+
+	for _, c := range []struct {
+		name     string
+		tr       *trace.Trace
+		excludes []Range
+		cfg      Config
+		sharded  bool
+	}{
+		{"section/stripes1", section, excludes, Config{Shards: 1}, false},
+		{"section/stripes4", section, excludes, Config{Shards: 4}, true},
+		{"stream/stripes1+gc", stream, nil, Config{Shards: 1, EpochGC: true}, false},
+		{"stream/stripes4+gc", stream, nil, Config{Shards: 4, EpochGC: true}, true},
+		{"capped/stripes4+gc", capped, nil, Config{Shards: 4, EpochGC: true}, false},
+	} {
+		CheckTrace(X86{}, &trace.Trace{}) // publishes a peak of 0
+		before := ResourceStats().GCRetiredIntervals
+		rep, stats := CheckTraceCfg(X86{}, c.tr, c.excludes, c.cfg)
+		r := ResourceStats()
+		if stats.Sharded != c.sharded {
+			t.Errorf("%s: sharded = %v, want %v", c.name, stats.Sharded, c.sharded)
+		}
+		if r.ShadowIntervalsLive != uint64(stats.PeakIntervals) {
+			t.Errorf("%s: gauge reads %d, check's peak is %d", c.name, r.ShadowIntervalsLive, stats.PeakIntervals)
+		}
+		if got := r.GCRetiredIntervals - before; got != stats.RetiredIntervals {
+			t.Errorf("%s: GC total grew by %d, check retired %d", c.name, got, stats.RetiredIntervals)
+		}
+		if stats.PeakIntervals == 0 {
+			t.Errorf("%s: peak 0", c.name)
+		}
+		if c.cfg.EpochGC && stats.RetiredIntervals == 0 {
+			t.Errorf("%s: GC retired nothing", c.name)
+		}
+		if c.tr == section && stats.PeakIntervals != 64 {
+			t.Errorf("%s: peak %d, want 64 (one per write)", c.name, stats.PeakIntervals)
+		}
+		if c.tr == capped && !rep.HasCode(CodeTruncated) {
+			t.Errorf("%s: report not truncated", c.name)
+		}
+	}
+	CheckTraceExcluding(X86{}, section, excludes)
+	if got := ResourceStats().ShadowIntervalsLive; got != 64 {
+		t.Errorf("CheckTraceExcluding: gauge reads %d, want the peak 64", got)
+	}
+}
+
+// stripeDursObserver keeps the StripeDurs of every checked trace.
+type stripeDursObserver struct{ durs [][]time.Duration }
+
+func (*stripeDursObserver) TraceSubmitted(int, int, int)          {}
+func (*stripeDursObserver) TraceDequeued(int, int, time.Duration) {}
+func (o *stripeDursObserver) TraceChecked(ev obs.TraceEvent)      { o.durs = append(o.durs, ev.StripeDurs) }
+
+// TestWorkerObserverStripeDurs: a Worker with an observer hands it one
+// checking time per stripe, in a copy, when the stripes checked the
+// trace, and none when the trace ran on one stripe.
+func TestWorkerObserverStripeDurs(t *testing.T) {
+	var ops []trace.Op
+	for i := 0; i < 64; i++ {
+		a := uint64(i) * 4096
+		ops = append(ops,
+			trace.Op{Kind: trace.KindWrite, Addr: a, Size: 64},
+			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64})
+	}
+	striped := &trace.Trace{Ops: append(ops, trace.Op{Kind: trace.KindFence})}
+	giant := &trace.Trace{Ops: []trace.Op{{Kind: trace.KindWrite, Addr: 0xF0, Size: 1 << 25}}}
+
+	o := &stripeDursObserver{}
+	w := NewWorker(Options{Check: Config{Shards: 4}, Observer: o})
+	defer w.Close()
+	w.Check(striped)
+	w.Check(giant) // wider than 16 MiB: one stripe
+	w.Check(striped)
+	if len(o.durs) != 3 {
+		t.Fatalf("observer saw %d traces, want 3", len(o.durs))
+	}
+	for _, i := range []int{0, 2} {
+		if len(o.durs[i]) != 4 {
+			t.Fatalf("striped trace %d: %d stripe durations, want 4", i, len(o.durs[i]))
+		}
+	}
+	if o.durs[1] != nil {
+		t.Fatalf("one-stripe trace carried stripe durations %v", o.durs[1])
+	}
+	if &o.durs[0][0] == &o.durs[2][0] {
+		t.Fatal("two events share the checker's duration slice")
+	}
+}
+
 func TestSharingAnalyzerMetrics(t *testing.T) {
 	m := obs.NewMetrics(4)
 	a := NewSharingAnalyzer(nil)

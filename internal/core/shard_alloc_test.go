@@ -32,7 +32,7 @@ func cleanStripedOps(writes int) []trace.Op {
 // at 256 writes per section even 1 alloc/op would cost ~770.
 func TestShardedCheckAllocCeiling(t *testing.T) {
 	tr := &trace.Trace{Ops: cleanStripedOps(256)}
-	c := NewShardedChecker(X86{}, Config{Shards: 4, EpochGC: true})
+	c := NewChecker(X86{}, Config{Shards: 4, EpochGC: true})
 	defer c.Close()
 	// Warm: grows index lists, tree freelists and GC scratch to capacity.
 	for i := 0; i < 4; i++ {
@@ -61,7 +61,7 @@ func TestShardedCheckAllocCeiling(t *testing.T) {
 // pass over the shadow memory, with no scratch list of retired ranges.
 func TestEpochGCStreamAllocCeiling(t *testing.T) {
 	tr := &trace.Trace{Ops: streamOps(32, 256, 4096, 1000, 4096, true)}
-	c := NewShardedChecker(X86{}, Config{Shards: 1, EpochGC: true})
+	c := NewChecker(X86{}, Config{Shards: 1, EpochGC: true})
 	defer c.Close()
 	for i := 0; i < 2; i++ { // warm: grows the segment slice to capacity
 		if rep, stats := c.Check(tr, nil); !rep.Clean() || stats.RetiredIntervals == 0 {

@@ -41,10 +41,10 @@ func checkEquiv(t *testing.T, rules RuleSet, tr *trace.Trace, excludes []Range, 
 // counts (including one exceeding the address spread) with small chunks
 // so test addresses actually distribute.
 var shardCfgs = []Config{
-	{Shards: 2, ChunkBits: 8},
-	{Shards: 4, ChunkBits: 8},
-	{Shards: 7, ChunkBits: 8},
-	{Shards: 4, ChunkBits: 8, EpochGC: true},
+	{Shards: 2, chunkBits: 8},
+	{Shards: 4, chunkBits: 8},
+	{Shards: 7, chunkBits: 8},
+	{Shards: 4, chunkBits: 8, EpochGC: true},
 }
 
 // chunkAddr places object i at a 64-byte-aligned address in chunk
@@ -204,27 +204,60 @@ func TestShardedEquivalence(t *testing.T) {
 func TestShardedEquivalenceStaticExcludes(t *testing.T) {
 	tr := equivTraces()["writeback-warns"]
 	excludes := []Range{{Addr: 0x700, Size: 64}}
-	checkEquiv(t, X86{}, tr, excludes, Config{Shards: 4, ChunkBits: 8}, true)
+	checkEquiv(t, X86{}, tr, excludes, Config{Shards: 4, chunkBits: 8}, true)
 }
 
-// TestShardedTruncation drives the per-trace diagnostic cap: the merged
-// truncation point, the cap diagnostic, the recomputed tracked-op count
-// and the trailing open-scope warning must all match serial.
+// TestShardedTruncation drives the per-trace diagnostic cap: the
+// truncation point, the cap diagnostic, the tracked-op count and the
+// trailing open-scope warning must all match serial. A trace whose
+// diagnostics reach the cap re-runs on one stripe, so none of these
+// report as striped.
 func TestShardedTruncation(t *testing.T) {
-	var ops []trace.Op
-	ops = append(ops, trace.Op{Kind: trace.KindTxCheckerStart})
+	traces := map[string]*trace.Trace{}
+
+	// Duplicate writebacks on every stripe, one warning per triple. The
+	// scope never closes: serial reports the trailing warning at the
+	// truncation op.
+	ops := []trace.Op{{Kind: trace.KindTxCheckerStart}}
 	for i := 0; i < 1100; i++ {
 		a := chunkAddr(i)
 		ops = append(ops,
 			trace.Op{Kind: trace.KindWrite, Addr: a, Size: 64},
 			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64},
-			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64}) // 1 warn per triple
+			trace.Op{Kind: trace.KindFlush, Addr: a, Size: 64})
 	}
-	// The scope never closes: serial reports the trailing warning at the
-	// truncation op, which the merger must reconstruct by replay.
-	tr := &trace.Trace{Ops: ops}
-	for _, cfg := range shardCfgs {
-		checkEquiv(t, X86{}, tr, nil, cfg, true)
+	traces["duplicate-writebacks"] = &trace.Trace{Ops: ops}
+
+	// Only the coordinator reports: two unfenced writes on different
+	// stripes, then 1 100 cross-stripe isOrderedBefore FAILs.
+	ops = []trace.Op{
+		{Kind: trace.KindWrite, Addr: 0x000, Size: 64},
+		{Kind: trace.KindWrite, Addr: 0x100, Size: 64},
+	}
+	for i := 0; i < 1100; i++ {
+		ops = append(ops, trace.Op{Kind: trace.KindIsOrderedBefore,
+			Addr: 0x000, Size: 64, Addr2: 0x100, Size2: 64})
+	}
+	traces["cross-stripe-order"] = &trace.Trace{Ops: ops}
+
+	// One TX_CHECKER_END injects 1 500 incomplete-transaction checks,
+	// spread over every stripe, at a single op.
+	ops = []trace.Op{{Kind: trace.KindTxCheckerStart}}
+	for i := 0; i < 1500; i++ {
+		ops = append(ops, trace.Op{Kind: trace.KindWrite, Addr: uint64(i) * 128, Size: 64})
+	}
+	ops = append(ops, trace.Op{Kind: trace.KindTxCheckerEnd})
+	traces["checker-end"] = &trace.Trace{Ops: ops}
+
+	for name, tr := range traces {
+		if !CheckTrace(X86{}, tr).HasCode(CodeTruncated) {
+			t.Fatalf("%s: the serial check does not reach the cap", name)
+		}
+		for _, cfg := range shardCfgs {
+			t.Run(fmt.Sprintf("%s/shards=%d-gc=%v", name, cfg.Shards, cfg.EpochGC), func(t *testing.T) {
+				checkEquiv(t, X86{}, tr, nil, cfg, false)
+			})
+		}
 	}
 }
 
@@ -248,7 +281,7 @@ func TestShardedSpanningRangeCoarsens(t *testing.T) {
 	ops = append(ops, trace.Op{Kind: trace.KindFence},
 		trace.Op{Kind: trace.KindIsPersist, Addr: 0xF0, Size: 64})
 	tr := &trace.Trace{Ops: ops}
-	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, ChunkBits: 8}, true)
+	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, chunkBits: 8}, true)
 }
 
 // TestShardedFallbackGiantRange: an op spanning more than 1<<maxChunkBits
@@ -261,7 +294,7 @@ func TestShardedFallbackGiantRange(t *testing.T) {
 		{Kind: trace.KindFence},
 		{Kind: trace.KindIsPersist, Addr: 0xF0, Size: 1 << 25},
 	}}
-	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, ChunkBits: 8}, false)
+	checkEquiv(t, X86{}, tr, nil, Config{Shards: 4, chunkBits: 8}, false)
 }
 
 // customRules is a RuleSet the router does not know; it must force the
@@ -272,7 +305,7 @@ func (customRules) Name() string { return "custom" }
 
 func TestShardedFallbackCustomRules(t *testing.T) {
 	tr := equivTraces()["clean-tx"]
-	checkEquiv(t, customRules{}, tr, nil, Config{Shards: 4, ChunkBits: 8}, false)
+	checkEquiv(t, customRules{}, tr, nil, Config{Shards: 4, chunkBits: 8}, false)
 }
 
 // TestShardedChunkDefaults: the default 4 KiB chunks shard the harness
@@ -303,7 +336,7 @@ func TestShardedCheckerReuse(t *testing.T) {
 	traces := equivTraces()
 	names := []string{"clean-tx", "incomplete-tx", "unbalanced", "ordered-cross",
 		"clean-tx", "writeback-warns", "empty", "not-persisted", "clean-tx"}
-	c := NewShardedChecker(X86{}, Config{Shards: 4, ChunkBits: 8, EpochGC: true})
+	c := NewChecker(X86{}, Config{Shards: 4, chunkBits: 8, EpochGC: true})
 	defer c.Close()
 	for round := 0; round < 3; round++ {
 		for _, name := range names {
@@ -323,7 +356,7 @@ func TestShardedCheckerReuse(t *testing.T) {
 // checker produces, not kill the process. panicRules (panic_test.go) is
 // a custom rule set, so this also pins the unknown-rules serial route.
 func TestShardedPanicFallback(t *testing.T) {
-	rep, stats := CheckTraceCfg(panicRules{}, poisonTrace(), nil, Config{Shards: 4, ChunkBits: 8})
+	rep, stats := CheckTraceCfg(panicRules{}, poisonTrace(), nil, Config{Shards: 4, chunkBits: 8})
 	if stats.Sharded {
 		t.Fatal("unknown rule set took the striped path")
 	}
@@ -337,7 +370,7 @@ func TestShardedPanicFallback(t *testing.T) {
 // that — so the hook is exercised with an out-of-range command) and
 // verifies the checker records the panic and stays usable afterwards.
 func TestStripeWorkerPanicRecovers(t *testing.T) {
-	c := NewShardedChecker(X86{}, Config{Shards: 2, ChunkBits: 8})
+	c := NewChecker(X86{}, Config{Shards: 2, chunkBits: 8})
 	defer c.Close()
 	tr := &trace.Trace{Ops: []trace.Op{
 		{Kind: trace.KindWrite, Addr: 0x100, Size: 64},
@@ -348,7 +381,7 @@ func TestStripeWorkerPanicRecovers(t *testing.T) {
 	}
 	c.ops = tr.Ops
 	c.runStripe(0, c.states[0], stripeCmd{from: 0, to: 1 << 20}) // out of range: panics inside
-	if !c.panicked.Load() {
+	if !c.bail.Load() {
 		t.Fatal("runStripe panic was not recorded")
 	}
 	rep, _ := c.Check(tr, nil)

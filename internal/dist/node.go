@@ -38,8 +38,8 @@ type NodeConfig struct {
 	// clients that failed over away do not pin sessions forever.
 	SessionTTL time.Duration
 	// Shards enables sharded (address-striped) checking of each hosted
-	// session's sections; <= 1 keeps the serial path. Reports stay
-	// byte-identical either way.
+	// session's sections; <= 1 checks each section on one stripe.
+	// Reports stay byte-identical either way.
 	Shards int
 	// EpochGC enables epoch-based retirement of closed shadow-memory
 	// segments in hosted sessions, bounding node memory when clients

@@ -193,7 +193,7 @@ func TestShardedGoldenKFIFOPipeline(t *testing.T) {
 		}
 		f.Close()
 	}()
-	c := core.NewShardedChecker(core.X86{}, core.Config{Shards: 4, EpochGC: true})
+	c := core.NewChecker(core.X86{}, core.Config{Shards: 4, EpochGC: true})
 	defer c.Close()
 	i := 0
 	for {

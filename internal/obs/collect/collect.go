@@ -4,8 +4,8 @@
 // per-node provenance — the DistributedTraceCollector pattern (fan out,
 // capture errors per node, merge partial results) applied to metrics.
 //
-// cmd/pmtop is the interactive consumer; the future pmtestd coordinator
-// reuses the same client for its federated /obs endpoint.
+// cmd/pmtop is the interactive consumer; pmbench's collect_fanout entry
+// times a three-node collection.
 package collect
 
 import (

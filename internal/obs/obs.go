@@ -392,13 +392,14 @@ type Resources struct {
 	StatePoolMisses uint64 `json:"state_pool_misses"`
 	// StatePoolHitRate is gets-that-hit / gets (0 when no traffic).
 	StatePoolHitRate float64 `json:"state_pool_hit_rate"`
-	// ShadowIntervalsLive is the interval count of the most recently
-	// checked trace's shadow memory; ShadowIntervalsMax is the high
-	// water mark — the "is this session's shadow memory growing?" gauge.
+	// ShadowIntervalsLive is the peak count of live shadow-memory
+	// segments in the most recently checked trace (summed over its
+	// stripes); ShadowIntervalsMax is the high water mark — the "is
+	// this session's shadow memory growing?" gauge.
 	ShadowIntervalsLive uint64 `json:"shadow_intervals_live"`
 	ShadowIntervalsMax  uint64 `json:"shadow_intervals_max"`
 	// GCRetiredIntervals counts shadow-memory segments retired by the
-	// sharded checker's epoch GC (0 unless Config.EpochGC is on).
+	// checker's epoch GC (0 unless Config.EpochGC is on).
 	GCRetiredIntervals uint64 `json:"gc_retired_intervals"`
 }
 

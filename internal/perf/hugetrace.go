@@ -60,7 +60,7 @@ func runHugeTrace(b Budget, res *Result, logf func(string, ...any)) error {
 	opsPerSec := make([]float64, len(shardCounts))
 	var peak int
 	for i, shards := range shardCounts {
-		c := core.NewShardedChecker(core.X86{}, core.Config{Shards: shards, EpochGC: true})
+		c := core.NewChecker(core.X86{}, core.Config{Shards: shards, EpochGC: true})
 		gen := &hugeTraceGen{window: b.HugeWindow, section: b.HugeSection}
 		done := 0
 		var maxPeak int

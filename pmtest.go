@@ -100,14 +100,15 @@ type Config struct {
 	// Workers sets the number of checking worker goroutines; defaults
 	// to 1, the paper's default (§6.1).
 	Workers int
-	// Shards partitions each worker's shadow memory into address stripes
-	// checked concurrently, with fences broadcast as epoch barriers.
-	// Reports are byte-identical to the serial checker. <= 1 (the
-	// default) keeps the single-state path.
+	// Shards is the number of address stripes each worker's checker
+	// splits shadow memory into, each checked on its own goroutine, with
+	// fences broadcast as epoch barriers. Reports are byte-identical to
+	// one stripe's. <= 1 (the default) checks each trace on one stripe,
+	// on the worker's goroutine.
 	Shards int
 	// EpochGC retires shadow-memory segments whose intervals closed more
 	// than a lag of epochs ago, bounding checker memory over long
-	// streaming runs. Composes with Shards; works on the serial path too.
+	// streaming runs. Composes with Shards, and works on one stripe too.
 	// Reports can differ from a run without it: a checker or flush over
 	// a retired range sees it as never written, so GC can drop a FAIL
 	// (an order-violation, say) or change a warning.
