@@ -15,17 +15,22 @@
 //
 // The spans subcommand searches the fleet's flight recorders instead of
 // its metrics: the same node list, fanned out to /flight/v1/search with
-// the filters given as flags, merged newest-first (see runSpans).
+// the filters given as flags, merged newest-first. Both run through one
+// poll loop (poll).
 //
-// Exit status in -once mode: 0 when at least one node responded, 1 when
-// every node failed (or on usage errors).
+// Exit status: 0 when at least one node responded to -once, 1 when
+// every node failed or on usage errors (including a non-positive
+// -interval in live mode).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"sort"
@@ -33,116 +38,158 @@ import (
 	"syscall"
 	"time"
 
+	"pmtest/internal/fleet"
+	"pmtest/internal/flight"
 	"pmtest/internal/obs"
-	"pmtest/internal/obs/collect"
+)
+
+const (
+	snapshotUsage = "usage: pmtop [flags] node [node...]\n" +
+		"       pmtop spans [flags] node [node...]\n\n" +
+		"Polls each node's /obs/v1/snapshot and renders the merged fleet view;\n" +
+		"the spans subcommand searches the fleet's flight recorders instead.\n\n"
+	spansUsage = "usage: pmtop spans [flags] node [node...]\n\n" +
+		"Fans a span query out to each node's /flight/v1/search and renders\n" +
+		"the merged newest-first view. Down nodes mark the result partial.\n\n"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	if len(os.Args) > 1 && os.Args[1] == "spans" {
-		return runSpans(os.Args[2:])
+// run parses the command line and polls the fleet's snapshots, or with
+// the spans subcommand its flight recorders.
+func run(args []string, stdout, stderr io.Writer) int {
+	spans := len(args) > 0 && args[0] == "spans"
+	name, usage := "pmtop", snapshotUsage
+	if spans {
+		name, usage, args = "pmtop spans", spansUsage, args[1:]
 	}
-	fs := flag.NewFlagSet("pmtop", flag.ExitOnError)
-	once := fs.Bool("once", false, "collect one merged snapshot, print it as JSON, exit")
-	interval := fs.Duration("interval", 2*time.Second, "refresh period of the live view")
-	timeout := fs.Duration("timeout", collect.DefaultTimeout, "per-node poll timeout")
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	p := poller{stdout: stdout, stderr: stderr}
+	fs.BoolVar(&p.once, "once", false, "run one merged query, print it as JSON, exit")
+	fs.DurationVar(&p.interval, "interval", 2*time.Second, "refresh period of the live view")
+	timeout := fs.Duration("timeout", fleet.DefaultTimeout, "per-node query timeout")
 	var lo obs.LogOptions
 	lo.RegisterFlags(fs)
+	var q flight.Query
+	var last time.Duration
+	if spans {
+		spanFlags(fs, &q, &last)
+	}
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: pmtop [flags] node [node...]\n"+
-			"       pmtop spans [flags] node [node...]\n\n"+
-			"Polls each node's /obs/v1/snapshot and renders the merged fleet view;\n"+
-			"the spans subcommand searches the fleet's flight recorders instead.\n\n")
+		fmt.Fprint(fs.Output(), usage)
 		fs.PrintDefaults()
 	}
-	fs.Parse(os.Args[1:])
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
 	nodes := fs.Args()
 	if len(nodes) == 0 {
 		fs.Usage()
 		return 1
 	}
-	logger, err := lo.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtop: %v\n", err)
+	if !p.once && p.interval <= 0 {
+		fmt.Fprintf(stderr, "pmtop: -interval must be positive in live mode, got %v\n", p.interval)
+		return 1
+	}
+	var err error
+	if p.logger, err = lo.Logger(stderr); err != nil {
+		fmt.Fprintf(stderr, "pmtop: %v\n", err)
 		return 1
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opt := collect.Options{Timeout: *timeout}
+	opt := fleet.Options{Timeout: *timeout}
+	if spans {
+		return poll(ctx, p, func(ctx context.Context) (fleet.Result, error) {
+			q := q
+			if last > 0 {
+				q.Since = time.Now().Add(-last)
+			}
+			return fleet.Search(ctx, nodes, q, opt)
+		}, spanRows, renderSpans)
+	}
+	return poll(ctx, p, func(ctx context.Context) (obs.MergedSnapshot, error) {
+		return fleet.Collect(ctx, nodes, opt)
+	}, snapshotRows, render)
+}
 
-	if *once {
-		merged, err := collect.Collect(ctx, nodes, opt)
+// poller holds the settings of pmtop's one poll loop.
+type poller struct {
+	once           bool
+	interval       time.Duration
+	logger         *slog.Logger
+	stdout, stderr io.Writer
+}
+
+// status is the part of a provenance row the poll loop reads.
+type status struct{ node, err string }
+
+// poll runs one fleet read per pass. With -once it prints the merged
+// document as JSON, warns once per failed row and returns 1 when no
+// node answered. Live, it redraws the view every interval until ctx is
+// done; the first pass runs at once so the view is never blank.
+func poll[T any](ctx context.Context, p poller, read func(context.Context) (T, error),
+	rows func(T) []status, view func(doc T, up, total int) string) int {
+	for {
+		doc, err := read(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmtop: %v\n", err)
+			fmt.Fprintf(p.stderr, "pmtop: %v\n", err)
 			return 1
 		}
-		for _, s := range merged.Sources {
-			if s.Err != "" {
-				logger.Warn("snapshot poll failed", "node", s.Source, "err", s.Err)
+		st := rows(doc)
+		up := 0
+		for _, s := range st {
+			if s.err == "" {
+				up++
+			} else if p.once {
+				p.logger.Warn("node query failed", "node", s.node, "err", s.err)
 			}
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(merged)
-		if failedAll(merged) {
-			fmt.Fprintf(os.Stderr, "pmtop: no node responded\n")
-			return 1
-		}
-		return 0
-	}
-
-	// Live mode: redraw on every tick until interrupted. The first pass
-	// runs immediately so the dashboard is never blank for an interval.
-	for {
-		merged, err := collect.Collect(ctx, nodes, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmtop: %v\n", err)
-			return 1
+		if p.once {
+			enc := json.NewEncoder(p.stdout)
+			enc.SetIndent("", "  ")
+			enc.Encode(doc)
+			if up == 0 {
+				fmt.Fprintf(p.stderr, "pmtop: no node responded\n")
+				return 1
+			}
+			return 0
 		}
 		// ANSI home + clear-to-end keeps the redraw flicker-free without
 		// dropping scrollback the way a full clear would.
-		fmt.Print("\x1b[H\x1b[2J")
-		fmt.Print(render(merged, nodes))
+		fmt.Fprint(p.stdout, "\x1b[H\x1b[2J", view(doc, up, len(st)))
 		select {
 		case <-ctx.Done():
-			fmt.Println()
+			fmt.Fprintln(p.stdout)
 			return 0
-		case <-time.After(*interval):
+		case <-time.After(p.interval):
 		}
 	}
 }
 
-// failedAll reports whether no polled node produced a snapshot.
-func failedAll(m obs.MergedSnapshot) bool {
-	for _, s := range m.Sources {
-		if s.Err == "" {
-			return false
-		}
+// snapshotRows lists a merged snapshot's provenance rows.
+func snapshotRows(m obs.MergedSnapshot) []status {
+	st := make([]status, len(m.Sources))
+	for i, s := range m.Sources {
+		st[i] = status{s.Source, s.Err}
 	}
-	return true
+	return st
 }
 
 // render draws the fleet view: headline totals, latency quantiles, the
 // per-source table (including failed nodes and their errors), and the
 // flight-recorder span summary.
-func render(m obs.MergedSnapshot, nodes []string) string {
+func render(m obs.MergedSnapshot, up, total int) string {
 	var b strings.Builder
-	up := 0
-	for _, s := range m.Sources {
-		if s.Err == "" {
-			up++
-		}
-	}
-	status := "complete"
-	if m.Partial {
-		status = "PARTIAL"
-	}
 	fmt.Fprintf(&b, "pmtop — %d/%d nodes up — %s — schema v%d — %s\n\n",
-		up, len(nodes), status, m.SchemaVersion, time.Now().Format("15:04:05"))
+		up, total, completeness(m.Partial), m.SchemaVersion, time.Now().Format("15:04:05"))
 
 	s := m.Metrics
 	fmt.Fprintf(&b, "fleet    %.0f ops/s, traces checked %d, ops checked %d\n",
@@ -199,6 +246,14 @@ func render(m obs.MergedSnapshot, nodes []string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// completeness names a merge's state in the view's header line.
+func completeness(partial bool) string {
+	if partial {
+		return "PARTIAL"
+	}
+	return "complete"
 }
 
 func clip(s string, n int) string {

@@ -1,147 +1,59 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
-	"pmtest/internal/flight/search"
-	"pmtest/internal/obs"
+	"pmtest/internal/fleet"
+	"pmtest/internal/flight"
 )
 
-// runSpans is the `pmtop spans` subcommand: a live fleet-wide span
-// search. Every refresh fans the query out to each node's
-// /flight/v1/search endpoint and renders the merged newest-first view;
-// -once prints the merged result as JSON for scripts and CI.
-func runSpans(args []string) int {
-	fs := flag.NewFlagSet("pmtop spans", flag.ExitOnError)
-	once := fs.Bool("once", false, "run one merged query, print it as JSON, exit")
-	interval := fs.Duration("interval", 2*time.Second, "refresh period of the live view")
-	timeout := fs.Duration("timeout", search.DefaultTimeout, "per-node query timeout")
-	category := fs.String("category", "", "only spans of one category (session|tx|checker|engine|campaign|rpc)")
-	name := fs.String("name", "", "only spans whose name contains this substring")
-	errOnly := fs.Bool("err", false, "only failed spans")
-	minDur := fs.Duration("min-dur", 0, "only spans at least this long")
-	last := fs.Duration("last", 0, "only spans started within this window before now")
-	attr := fs.String("attr", "", "only spans carrying attribute key=value (empty value: any value of key)")
-	limit := fs.Int("limit", 40, "merged result size cap")
-	var lo obs.LogOptions
-	lo.RegisterFlags(fs)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: pmtop spans [flags] node [node...]\n\n"+
-			"Fans a span query out to each node's /flight/v1/search and renders\n"+
-			"the merged newest-first view. Down nodes mark the result partial.\n\n")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args)
-	nodes := fs.Args()
-	if len(nodes) == 0 {
-		fs.Usage()
-		return 1
-	}
-	logger, err := lo.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmtop: %v\n", err)
-		return 1
-	}
-	p := search.Params{
-		Category: *category,
-		Name:     *name,
-		ErrOnly:  *errOnly,
-		MinDur:   *minDur,
-		Limit:    *limit,
-	}
-	if *attr != "" {
-		k, v, _ := strings.Cut(*attr, "=")
+// spanFlags registers the spans subcommand's filters, each bound to the
+// field of q it sets; -last is kept apart because each pass turns it
+// into q.Since afresh. A malformed -category or -attr fails the parse,
+// before any node is asked.
+func spanFlags(fs *flag.FlagSet, q *flight.Query, last *time.Duration) {
+	fs.Func("category", "only spans of one category (session|tx|checker|engine|campaign|rpc)", func(s string) error {
+		c, ok := flight.ParseCategory(s)
+		if !ok {
+			return fmt.Errorf("unknown category %q", s)
+		}
+		q.Category, q.HasCategory = c, true
+		return nil
+	})
+	fs.StringVar(&q.Name, "name", "", "only spans whose name contains this substring")
+	fs.BoolVar(&q.ErrOnly, "err", false, "only failed spans")
+	fs.DurationVar(&q.MinDur, "min-dur", 0, "only spans at least this long")
+	fs.DurationVar(last, "last", 0, "only spans started within this window before now")
+	fs.Func("attr", "only spans carrying attribute key=value (empty value: any value of key)", func(s string) error {
+		k, v, _ := strings.Cut(s, "=")
 		if k == "" {
-			fmt.Fprintf(os.Stderr, "pmtop: -attr wants key=value, got %q\n", *attr)
-			return 1
+			return fmt.Errorf("want key=value, got %q", s)
 		}
-		p.AttrKey, p.AttrVal = k, v
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opt := search.Options{Timeout: *timeout}
-
-	query := func() (search.Result, error) {
-		q := p
-		if *last > 0 {
-			q.Since = time.Now().Add(-*last)
-		}
-		return search.Search(ctx, nodes, q, opt)
-	}
-
-	if *once {
-		res, err := query()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmtop: %v\n", err)
-			return 1
-		}
-		for _, s := range res.Sources {
-			if s.Err != "" {
-				logger.Warn("span search node failed", "node", s.Source, "err", s.Err)
-			}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(res)
-		if allFailed(res.Sources) {
-			fmt.Fprintf(os.Stderr, "pmtop: no node responded\n")
-			return 1
-		}
-		return 0
-	}
-
-	for {
-		res, err := query()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmtop: %v\n", err)
-			return 1
-		}
-		fmt.Print("\x1b[H\x1b[2J")
-		fmt.Print(renderSpans(res, nodes))
-		select {
-		case <-ctx.Done():
-			fmt.Println()
-			return 0
-		case <-time.After(*interval):
-		}
-	}
+		q.AttrKey, q.AttrVal = k, v
+		return nil
+	})
+	fs.IntVar(&q.Limit, "limit", 40, "merged result size cap")
 }
 
-func allFailed(sources []search.SourceStatus) bool {
-	for _, s := range sources {
-		if s.Err == "" {
-			return false
-		}
+// spanRows lists a merged span search's provenance rows.
+func spanRows(res fleet.Result) []status {
+	st := make([]status, len(res.Sources))
+	for i, s := range res.Sources {
+		st[i] = status{s.Source, s.Err}
 	}
-	return true
+	return st
 }
 
 // renderSpans draws the merged span table, newest first, with the
 // per-node provenance footer.
-func renderSpans(res search.Result, nodes []string) string {
+func renderSpans(res fleet.Result, up, total int) string {
 	var b strings.Builder
-	up := 0
-	for _, s := range res.Sources {
-		if s.Err == "" {
-			up++
-		}
-	}
-	status := "complete"
-	if res.Partial {
-		status = "PARTIAL"
-	}
 	fmt.Fprintf(&b, "pmtop spans — %d/%d nodes up — %s — %d spans — %s\n\n",
-		up, len(nodes), status, len(res.Spans), time.Now().Format("15:04:05"))
+		up, total, completeness(res.Partial), len(res.Spans), time.Now().Format("15:04:05"))
 	fmt.Fprintf(&b, "%-15s %10s %-8s %-16s %-22s %s\n",
 		"START", "DUR", "CAT", "NAME", "SOURCE", "ATTRS")
 	for _, s := range res.Spans {

@@ -27,8 +27,8 @@ import (
 	"text/tabwriter"
 
 	"pmtest/internal/core"
+	"pmtest/internal/fleet"
 	"pmtest/internal/flight"
-	"pmtest/internal/flight/search"
 	"pmtest/internal/obs"
 	"pmtest/internal/pmem"
 	"pmtest/internal/trace"
@@ -134,7 +134,7 @@ func runRemote(args []string) int {
 	session := fs.String("session", "", "session id to stitch (see pmtest SID / pmtestd stream -session-file)")
 	nodes := fs.String("nodes", "", "comma-separated -obs-listen endpoints to search (client and checker nodes)")
 	reportNodes := fs.String("report-nodes", "", "comma-separated checker section-protocol addresses for a merged report lookup (optional)")
-	timeout := fs.Duration("timeout", search.DefaultTimeout, "per-node query timeout")
+	timeout := fs.Duration("timeout", fleet.DefaultTimeout, "per-node query timeout")
 	normalize := fs.Bool("normalize", false, "stable labels instead of addresses/durations (golden-comparable output)")
 	var lo obs.LogOptions
 	lo.RegisterFlags(fs)
@@ -153,10 +153,10 @@ func runRemote(args []string) int {
 		return 1
 	}
 	ctx := context.Background()
-	opt := search.Options{Timeout: *timeout}
+	opt := fleet.Options{Timeout: *timeout}
 	nodeList := splitList(*nodes)
 
-	res, err := search.SessionSpans(ctx, nodeList, *session, opt)
+	res, err := fleet.SessionSpans(ctx, nodeList, *session, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmtrace:", err)
 		return 1
@@ -169,11 +169,11 @@ func runRemote(args []string) int {
 	if res.Partial {
 		fmt.Fprintln(os.Stderr, "pmtrace: warning: partial result (some nodes unreachable); timeline may have gaps")
 	}
-	tl := search.Stitch(*session, res.Spans)
-	search.WriteTimeline(os.Stdout, tl, *normalize)
+	tl := fleet.Stitch(*session, res.Spans)
+	fleet.WriteTimeline(os.Stdout, tl, *normalize)
 
 	if *reportNodes != "" {
-		reps, err := search.Reports(ctx, splitList(*reportNodes), *session, opt)
+		reps, err := fleet.Reports(ctx, splitList(*reportNodes), *session, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pmtrace:", err)
 			return 1

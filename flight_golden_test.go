@@ -149,7 +149,7 @@ func TestFlightCleanRunNoCheckerSpans(t *testing.T) {
 			t.Fatalf("clean run missing %s spans", cat)
 		}
 	}
-	if errSpans := rec.Search(flight.Filter{ErrOnly: true}); len(errSpans) != 0 {
+	if errSpans := rec.Search(flight.Query{ErrOnly: true}); len(errSpans) != 0 {
 		t.Fatalf("clean run has error spans: %+v", errSpans)
 	}
 }

@@ -299,9 +299,9 @@ func (r *Recorder) Len(cat Category) int {
 }
 
 // Query selects spans for Search. The zero value matches everything.
-// It is the one filter vocabulary of the span query plane: the local
-// /flight browse, the /flight/v1/search endpoint and the fleet-wide
-// fan-out searcher (internal/flight/search) all speak it.
+// It is the one filter vocabulary of the span query plane: Handler
+// decodes it from URL parameters (ParseQuery) and the fleet-wide
+// fan-out (internal/fleet) encodes it with Values.
 type Query struct {
 	// Category restricts to one category when HasCategory is set.
 	Category    Category
@@ -325,9 +325,6 @@ type Query struct {
 	// Limit caps the result (0 = 100).
 	Limit int
 }
-
-// Filter is the historical name of Query, kept as an alias.
-type Filter = Query
 
 func (f *Query) match(s *Span) bool {
 	if f.MinDur > 0 && s.Dur() < f.MinDur {

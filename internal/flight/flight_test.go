@@ -29,7 +29,7 @@ func TestSpanLifecycle(t *testing.T) {
 	if rec.Len(CatSession) != 1 {
 		t.Fatalf("CatSession ring len = %d, want 1", rec.Len(CatSession))
 	}
-	got := rec.Search(Filter{})[0]
+	got := rec.Search(Query{})[0]
 	if got.Name != "section" || got.TID != 3 || got.Err {
 		t.Fatalf("recorded span = %+v", got)
 	}
@@ -55,7 +55,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil recorder returned a live span")
 	}
 	sp.SetInt("k", 1).SetStr("s", "v").SetErr(true).SetTID(1).AddEvent("e").Finish()
-	if rec.Len(CatTx) != 0 || rec.Search(Filter{}) != nil || rec.Export() != nil {
+	if rec.Len(CatTx) != 0 || rec.Search(Query{}) != nil || rec.Export() != nil {
 		t.Fatal("nil recorder has state")
 	}
 	if EngineObserver(nil) != nil {
@@ -70,7 +70,7 @@ func TestAttrOverflowCounted(t *testing.T) {
 		sp.SetInt("k", int64(i))
 	}
 	sp.Finish()
-	got := rec.Search(Filter{})[0]
+	got := rec.Search(Query{})[0]
 	if len(got.Attrs()) != maxAttrs || got.Dropped != 3 {
 		t.Fatalf("attrs = %d dropped = %d, want %d/3", len(got.Attrs()), got.Dropped, maxAttrs)
 	}
@@ -97,25 +97,25 @@ func TestSearchFilters(t *testing.T) {
 	rec.StartAt(CatChecker, "order-violation", 0, base.Add(2*time.Millisecond)).
 		SetErr(true).FinishAt(base.Add(2 * time.Millisecond))
 
-	if got := rec.Search(Filter{}); len(got) != 3 {
+	if got := rec.Search(Query{}); len(got) != 3 {
 		t.Fatalf("unfiltered = %d spans, want 3", len(got))
 	} else if !got[0].Start.After(got[2].Start) {
 		t.Fatal("search not newest-first")
 	}
-	if got := rec.Search(Filter{Category: CatChecker, HasCategory: true}); len(got) != 1 ||
+	if got := rec.Search(Query{Category: CatChecker, HasCategory: true}); len(got) != 1 ||
 		got[0].Name != "order-violation" {
 		t.Fatalf("category filter = %+v", got)
 	}
-	if got := rec.Search(Filter{ErrOnly: true}); len(got) != 2 {
+	if got := rec.Search(Query{ErrOnly: true}); len(got) != 2 {
 		t.Fatalf("err filter = %d spans, want 2", len(got))
 	}
-	if got := rec.Search(Filter{MinDur: 500 * time.Microsecond}); len(got) != 1 {
+	if got := rec.Search(Query{MinDur: 500 * time.Microsecond}); len(got) != 1 {
 		t.Fatalf("min_dur filter = %d spans, want 1", len(got))
 	}
-	if got := rec.Search(Filter{Name: "violation"}); len(got) != 1 {
+	if got := rec.Search(Query{Name: "violation"}); len(got) != 1 {
 		t.Fatalf("name filter = %d spans, want 1", len(got))
 	}
-	if got := rec.Search(Filter{Limit: 2}); len(got) != 2 {
+	if got := rec.Search(Query{Limit: 2}); len(got) != 2 {
 		t.Fatalf("limit = %d spans, want 2", len(got))
 	}
 }
@@ -128,7 +128,7 @@ func TestRingEviction(t *testing.T) {
 	if rec.Len(CatTx) != 4 {
 		t.Fatalf("ring len = %d, want 4", rec.Len(CatTx))
 	}
-	got := rec.Search(Filter{Category: CatTx, HasCategory: true})
+	got := rec.Search(Query{Category: CatTx, HasCategory: true})
 	if v := got[0].Attr("i"); v != int64(9) {
 		t.Fatalf("newest i = %v, want 9", v)
 	}
@@ -156,7 +156,7 @@ func TestEngineObserverParenting(t *testing.T) {
 		},
 	})
 
-	engine := rec.Search(Filter{Category: CatEngine, HasCategory: true})
+	engine := rec.Search(Query{Category: CatEngine, HasCategory: true})
 	if len(engine) != 1 {
 		t.Fatalf("engine spans = %d, want 1", len(engine))
 	}
@@ -171,7 +171,7 @@ func TestEngineObserverParenting(t *testing.T) {
 		t.Fatalf("engine span dur = %v, want >= CheckDur", d)
 	}
 
-	checkers := rec.Search(Filter{Category: CatChecker, HasCategory: true})
+	checkers := rec.Search(Query{Category: CatChecker, HasCategory: true})
 	if len(checkers) != 2 {
 		t.Fatalf("checker spans = %d, want 2", len(checkers))
 	}
@@ -249,8 +249,9 @@ func TestHandler(t *testing.T) {
 }
 
 // TestHandlerBadRequestJSON pins the malformed-query contract: every
-// rejected parameter — including negative min_dur and a limit that
-// overflows int — yields a 400 with a parseable {"error": ...} body.
+// rejected parameter — including negative min_dur, a limit that
+// overflows int and a malformed time window on the browse route —
+// yields a 400 with a parseable {"error": ...} body.
 func TestHandlerBadRequestJSON(t *testing.T) {
 	rec := NewRecorder(4)
 	for _, url := range []string{
@@ -261,6 +262,9 @@ func TestHandlerBadRequestJSON(t *testing.T) {
 		"/flight?limit=-1",
 		"/flight?limit=99999999999999999999", // overflows int64 → Atoi error
 		"/flight?limit=1000001",              // beyond the browse cap
+		"/flight?since=yesterday",
+		"/flight?until=2pm",
+		"/flight?last=-5m",
 	} {
 		req := httptest.NewRequest("GET", url, nil)
 		w := httptest.NewRecorder()

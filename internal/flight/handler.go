@@ -12,7 +12,7 @@ import (
 
 // SpanRecord is the wire representation of a recorded span, served by
 // the browse and search endpoints and decoded by the fleet-wide
-// fan-out searcher (internal/flight/search).
+// fan-out (internal/fleet).
 type SpanRecord struct {
 	ID       uint64         `json:"id"`
 	Parent   uint64         `json:"parent,omitempty"`
@@ -91,7 +91,7 @@ type SearchResponse struct {
 const maxBrowseLimit = 100_000
 
 // badRequest rejects a malformed query with a structured JSON error —
-// machine clients (the collect fan-out, CI smoke scripts) parse the
+// machine clients (the fleet fan-out, CI smoke scripts) parse the
 // body, so even errors speak JSON.
 func badRequest(w http.ResponseWriter, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -101,11 +101,10 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	}{Error: fmt.Sprintf(format, args...)})
 }
 
-// ParseQuery builds a Query from URL query parameters, shared by the
-// browse and search handlers so the two stay filter-identical. With
-// timeWindow set it additionally accepts the search endpoint's
-// since/until bounds. Errors are phrased for badRequest.
-func ParseQuery(q url.Values, timeWindow bool) (Query, error) {
+// ParseQuery builds a Query from URL query parameters, the decoding
+// half of the filter vocabulary whose encoding is Query.Values. Errors
+// are phrased for badRequest.
+func ParseQuery(q url.Values) (Query, error) {
 	var f Query
 	if c := q.Get("category"); c != "" {
 		cat, ok := ParseCategory(c)
@@ -135,26 +134,24 @@ func ParseQuery(q url.Values, timeWindow bool) (Query, error) {
 		}
 		f.AttrKey, f.AttrVal = key, val
 	}
-	if timeWindow {
-		for _, p := range []struct {
-			name string
-			dst  *time.Time
-		}{{"since", &f.Since}, {"until", &f.Until}} {
-			if v := q.Get(p.name); v != "" {
-				t, err := time.Parse(time.RFC3339Nano, v)
-				if err != nil {
-					return f, fmt.Errorf("bad %s %q: want RFC 3339", p.name, v)
-				}
-				*p.dst = t
+	for _, p := range []struct {
+		name string
+		dst  *time.Time
+	}{{"since", &f.Since}, {"until", &f.Until}} {
+		if v := q.Get(p.name); v != "" {
+			t, err := time.Parse(time.RFC3339Nano, v)
+			if err != nil {
+				return f, fmt.Errorf("bad %s %q: want RFC 3339", p.name, v)
 			}
+			*p.dst = t
 		}
-		if l := q.Get("last"); l != "" {
-			d, err := time.ParseDuration(l)
-			if err != nil || d <= 0 {
-				return f, fmt.Errorf("bad last %q: want a positive duration", l)
-			}
-			f.Since = time.Now().Add(-d)
+	}
+	if l := q.Get("last"); l != "" {
+		d, err := time.ParseDuration(l)
+		if err != nil || d <= 0 {
+			return f, fmt.Errorf("bad last %q: want a positive duration", l)
 		}
+		f.Since = time.Now().Add(-d)
 	}
 	if l := q.Get("limit"); l != "" {
 		n, err := strconv.Atoi(l)
@@ -169,22 +166,45 @@ func ParseQuery(q url.Values, timeWindow bool) (Query, error) {
 	return f, nil
 }
 
-// serveSearch runs the query against the recorder and writes the
-// response document.
-func serveSearch(w http.ResponseWriter, rec *Recorder, f Query) {
-	spans := rec.Search(f)
-	out := SearchResponse{Spans: make([]SpanRecord, len(spans))}
-	for i := range spans {
-		out.Spans[i] = Record(&spans[i])
+// Values renders the query as the URL parameters ParseQuery reads back:
+// for every q ParseQuery can return, ParseQuery(q.Values()) equals q,
+// with Since and Until Equal rather than identical (they travel as
+// RFC 3339 in UTC with nanoseconds).
+func (f Query) Values() url.Values {
+	v := url.Values{}
+	if f.HasCategory {
+		v.Set("category", f.Category.String())
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	if f.MinDur > 0 {
+		v.Set("min_dur", f.MinDur.String())
+	}
+	if f.ErrOnly {
+		v.Set("err", "1")
+	}
+	if f.Name != "" {
+		v.Set("name", f.Name)
+	}
+	if f.AttrKey != "" {
+		v.Set("attr", f.AttrKey+"="+f.AttrVal)
+	}
+	if !f.Since.IsZero() {
+		v.Set("since", f.Since.UTC().Format(time.RFC3339Nano))
+	}
+	if !f.Until.IsZero() {
+		v.Set("until", f.Until.UTC().Format(time.RFC3339Nano))
+	}
+	if f.Limit > 0 {
+		v.Set("limit", strconv.Itoa(f.Limit))
+	}
+	return v
 }
 
-// Handler serves the live span browse as JSON: the newest spans first,
-// filtered by query parameters:
+// SearchPath is the span search route, mounted beside the /flight
+// browse on every -obs-listen endpoint; Handler serves both.
+const SearchPath = "/flight/v1/search"
+
+// Handler serves the span browse and search as JSON: the newest spans
+// first, filtered by query parameters:
 //
 //	category  session|tx|checker|engine|campaign|rpc (default: all)
 //	min_dur   Go duration, e.g. 1ms — drop shorter spans
@@ -193,45 +213,33 @@ func serveSearch(w http.ResponseWriter, rec *Recorder, f Query) {
 //	attr      key=value — only spans carrying that annotation (integer
 //	          values compare against their decimal rendering; a bare
 //	          key matches any value)
+//	since     RFC 3339 timestamp — only spans starting at/after it
+//	until     RFC 3339 timestamp — only spans starting before it
+//	last      Go duration — shorthand for since=now-last
 //	limit     max spans returned (default 100, max 100000)
 //
 // Malformed parameters — an unknown category, a negative or unparseable
-// min_dur, a limit that is negative, zero, overflowing or beyond the cap
-// — are rejected with a 400 and a JSON {"error": ...} body rather than
-// silently clamped.
+// min_dur or last, a timestamp that is not RFC 3339, a limit that is
+// negative, zero, overflowing or beyond the cap — are rejected with a
+// 400 and a JSON {"error": ...} body rather than silently clamped.
 //
-// Mount it beside obs.Handler on the -obs-listen address.
+// Mount it at /flight and SearchPath beside obs.Handler on the
+// -obs-listen address.
 func Handler(rec *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f, err := ParseQuery(r.URL.Query(), false)
+		f, err := ParseQuery(r.URL.Query())
 		if err != nil {
 			badRequest(w, "%v", err)
 			return
 		}
-		serveSearch(w, rec, f)
-	})
-}
-
-// SearchPath is the span search route, mounted beside the /flight
-// browse on every -obs-listen endpoint.
-const SearchPath = "/flight/v1/search"
-
-// SearchHandler serves GET /flight/v1/search: the browse filters plus a
-// time window —
-//
-//	since  RFC 3339 timestamp — only spans starting at/after it
-//	until  RFC 3339 timestamp — only spans starting before it
-//	last   Go duration — shorthand for since=now-last
-//
-// Responses and error bodies are shaped exactly like the browse
-// endpoint's, so fan-out clients need one decoder for both.
-func SearchHandler(rec *Recorder) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f, err := ParseQuery(r.URL.Query(), true)
-		if err != nil {
-			badRequest(w, "%v", err)
-			return
+		spans := rec.Search(f)
+		out := SearchResponse{Spans: make([]SpanRecord, len(spans))}
+		for i := range spans {
+			out.Spans[i] = Record(&spans[i])
 		}
-		serveSearch(w, rec, f)
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(out)
 	})
 }

@@ -67,6 +67,46 @@ func TestQueryAttrFilter(t *testing.T) {
 	}
 }
 
+// TestQueryValuesRoundTrip pins the filter vocabulary's two halves
+// against each other: every field Values encodes, ParseQuery decodes to
+// the same value, times to the nanosecond.
+func TestQueryValuesRoundTrip(t *testing.T) {
+	at := time.Date(2026, 3, 1, 12, 30, 45, 123456789, time.FixedZone("UTC+2", 2*3600))
+	cases := []Query{
+		{},
+		{Category: CatSession, HasCategory: true},
+		{Category: CatRPC, HasCategory: true},
+		{MinDur: 1500*time.Microsecond + 7},
+		{ErrOnly: true},
+		{Name: "handle section & more"},
+		{Since: at},
+		{Until: at.Add(time.Nanosecond)},
+		{Since: at, Until: at.Add(time.Hour)},
+		{AttrKey: "remote_session_id", AttrVal: "pmtest-1"},
+		{AttrKey: "session"},
+		{AttrKey: "expr", AttrVal: "a=b"},
+		{Limit: 1},
+		{Limit: maxBrowseLimit},
+		{Category: CatChecker, HasCategory: true, MinDur: time.Second, ErrOnly: true,
+			Name: "violation", Since: at, Until: at.Add(time.Minute),
+			AttrKey: "seq", AttrVal: "4", Limit: 40},
+	}
+	for _, want := range cases {
+		v := want.Values()
+		got, err := ParseQuery(v)
+		if err != nil {
+			t.Fatalf("ParseQuery(%q): %v", v.Encode(), err)
+		}
+		if !got.Since.Equal(want.Since) || !got.Until.Equal(want.Until) {
+			t.Fatalf("%q: window = [%v, %v), want [%v, %v)", v.Encode(), got.Since, got.Until, want.Since, want.Until)
+		}
+		got.Since, got.Until = want.Since, want.Until
+		if got != want {
+			t.Fatalf("%q: round trip = %+v, want %+v", v.Encode(), got, want)
+		}
+	}
+}
+
 // TestSearchTotalOrder proves the cross-ring merge is one newest-first
 // total order — identical to what a single ring holding every span
 // would return — and that the limit keeps the newest across rings, not
@@ -115,9 +155,9 @@ func TestSearchTieBreak(t *testing.T) {
 	}
 }
 
-// TestSearchHandlerWindowAndParity drives GET /flight/v1/search: the
-// time-window parameters work, and malformed queries answer the same
-// 400 {"error": ...} JSON contract as the browse endpoint.
+// TestSearchHandlerWindowAndParity drives Handler on the search route:
+// the time-window parameters work, and malformed queries answer the
+// same 400 {"error": ...} JSON contract as the browse route.
 func TestSearchHandlerWindowAndParity(t *testing.T) {
 	rec := NewRecorder(16)
 	base := time.Now().Add(-time.Hour)
@@ -127,7 +167,7 @@ func TestSearchHandlerWindowAndParity(t *testing.T) {
 	get := func(rawurl string) (int, string) {
 		req := httptest.NewRequest("GET", rawurl, nil)
 		w := httptest.NewRecorder()
-		SearchHandler(rec).ServeHTTP(w, req)
+		Handler(rec).ServeHTTP(w, req)
 		return w.Code, w.Body.String()
 	}
 	decode := func(body string) []SpanRecord {
@@ -175,7 +215,7 @@ func TestSearchHandlerWindowAndParity(t *testing.T) {
 	} {
 		req := httptest.NewRequest("GET", bad, nil)
 		w := httptest.NewRecorder()
-		SearchHandler(rec).ServeHTTP(w, req)
+		Handler(rec).ServeHTTP(w, req)
 		if w.Code != 400 {
 			t.Errorf("GET %s = %d, want 400", bad, w.Code)
 			continue
@@ -192,8 +232,8 @@ func TestSearchHandlerWindowAndParity(t *testing.T) {
 	}
 }
 
-// TestBrowseAttrFilter pins the satellite: the browse endpoint accepts
-// the same attr parameter as search (but not the time window).
+// TestBrowseAttrFilter pins that the browse route accepts the same
+// attr parameter as search.
 func TestBrowseAttrFilter(t *testing.T) {
 	rec := NewRecorder(8)
 	rec.Start(CatRPC, "handle-section", 0).SetStr("remote_session_id", "pmtest-1").Finish()

@@ -5,11 +5,13 @@
 //
 // Routes:
 //
-//	/                 Prometheus text (?format=json for the full snapshot)
+//	/, /metrics       Prometheus text (?format=json for the full snapshot)
 //	/obs/v1/snapshot  versioned NodeSnapshot document (pmtop's input)
-//	/flight           flight-recorder span browse
-//	/flight/v1/search span search with time window (fleet fan-out input)
+//	/flight           flight.Handler: span browse and search
+//	/flight/v1/search the same handler (the fleet fan-out's input)
 //	/debug/pprof/*    opt-in Go profiling (Config.PProf)
+//
+// Every other path answers 404.
 //
 // Start returns immediately with the server listening; Close shuts it
 // down gracefully with a bounded drain so in-flight scrapes finish.
@@ -43,8 +45,8 @@ type Config struct {
 	// StatsFn, when set, overrides Metrics.Snapshot for the snapshot
 	// document (see obs.SnapshotSource.StatsFn).
 	StatsFn func() obs.Snapshot
-	// Flight, when non-nil, backs /flight and the snapshot's span
-	// summary section.
+	// Flight, when non-nil, backs /flight, /flight/v1/search and the
+	// snapshot's span summary section.
 	Flight *flight.Recorder
 	// PProf additionally mounts net/http/pprof under /debug/pprof/ —
 	// opt-in because profiling endpoints on a production port are a
@@ -97,8 +99,9 @@ func Start(cfg Config) (*Server, error) {
 	})
 	mux.Handle("/obs/v1/snapshot", obs.SnapshotHandler(src))
 	if cfg.Flight != nil {
-		mux.Handle("/flight", flight.Handler(cfg.Flight))
-		mux.Handle(flight.SearchPath, flight.SearchHandler(cfg.Flight))
+		spans := flight.Handler(cfg.Flight)
+		mux.Handle("/flight", spans)
+		mux.Handle(flight.SearchPath, spans)
 	}
 	if cfg.PProf {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

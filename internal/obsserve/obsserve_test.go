@@ -57,8 +57,23 @@ func TestServerRoutes(t *testing.T) {
 	if snap.Flight == nil || len(snap.Flight.Categories) == 0 {
 		t.Errorf("snapshot flight summary missing: %+v", snap.Flight)
 	}
-	if code, _ := get(t, base+"/flight"); code != 200 {
-		t.Errorf("/flight = %d", code)
+	// One span handler on both routes: the same filter, the same answer.
+	var answers [2]string
+	for i, route := range []string{"/flight", flight.SearchPath} {
+		code, body := get(t, base+route+"?last=1h")
+		if code != 200 {
+			t.Errorf("%s = %d", route, code)
+		}
+		answers[i] = string(body)
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("/flight and %s disagree:\n%s\n%s", flight.SearchPath, answers[0], answers[1])
+	}
+	if code, _ := get(t, base+"/flight?last=never"); code != 400 {
+		t.Errorf("/flight?last=never = %d, want 400", code)
+	}
+	if code, _ := get(t, base+"/nope"); code != 404 {
+		t.Errorf("/nope = %d, want 404", code)
 	}
 	// pprof is opt-in: without Config.PProf the routes must not exist.
 	if code, _ := get(t, base+"/debug/pprof/"); code == 200 {

@@ -17,12 +17,11 @@ import (
 	"pmtest/internal/core"
 	"pmtest/internal/dist"
 	"pmtest/internal/faultinject"
+	"pmtest/internal/fleet"
 	"pmtest/internal/flight"
-	"pmtest/internal/flight/search"
 	"pmtest/internal/harness"
 	"pmtest/internal/lint"
 	"pmtest/internal/obs"
-	"pmtest/internal/obs/collect"
 	"pmtest/internal/obsserve"
 	"pmtest/internal/trace"
 )
@@ -389,8 +388,8 @@ func runObsPlane(b Budget, res *Result, logf func(string, ...any)) error {
 	}()
 	client := &http.Client{}
 	cf := measure(b.CheckIters, func() {
-		merged, err := collect.Collect(context.Background(), nodes,
-			collect.Options{Client: client})
+		merged, err := fleet.Collect(context.Background(), nodes,
+			fleet.Options{Client: client})
 		if err != nil {
 			panic(err)
 		}
@@ -406,7 +405,7 @@ func runObsPlane(b Budget, res *Result, logf func(string, ...any)) error {
 }
 
 // runSearchFanout measures the fleet span-search read path: one merged
-// two-node query through the fan-out searcher over live loopback
+// two-node query through fleet.Search over live loopback
 // endpoints — HTTP round trips, span JSON decode, and the newest-first
 // cross-node merge. This is what every pmtop spans refresh costs, so
 // its p50/p99 gate like any other monitoring-path latency.
@@ -438,13 +437,13 @@ func runSearchFanout(b Budget, res *Result, logf func(string, ...any)) error {
 		}
 	}()
 	client := &http.Client{}
-	params := search.Params{Category: "rpc", AttrKey: "remote_session_id",
-		AttrVal: "pmtest-3", Limit: 200}
+	query := flight.Query{Category: flight.CatRPC, HasCategory: true,
+		AttrKey: "remote_session_id", AttrVal: "pmtest-3", Limit: 200}
 	var h obs.Histogram
 	measure(b.CheckIters*5, func() {
 		start := time.Now()
-		r, err := search.Search(context.Background(), nodes, params,
-			search.Options{Client: client})
+		r, err := fleet.Search(context.Background(), nodes, query,
+			fleet.Options{Client: client})
 		if err != nil {
 			panic(err)
 		}
