@@ -58,8 +58,9 @@ func runPmtop(args ...string) (code int, stdout, stderr string) {
 
 // TestOnceOneDeadNode: -once with one live and one dead node exits 0
 // and prints a partial document whose rows follow the argument order,
-// the dead node's carrying its error, with one warning for that row.
-// -once ignores -interval, even a zero one.
+// whichever node is listed first, the dead node's carrying its error,
+// with one warning for that row. -once ignores -interval, even a zero
+// one.
 func TestOnceOneDeadNode(t *testing.T) {
 	live, dead := liveNode(t), deadNode(t)
 	// A snapshot row names the node's self-reported source, a span row
@@ -67,31 +68,43 @@ func TestOnceOneDeadNode(t *testing.T) {
 	liveRow := map[string]string{"snapshot": "live", "spans": live}
 	for name, cmd := range commands {
 		t.Run(name, func(t *testing.T) {
-			code, stdout, stderr := runPmtop(append(cmd, "-once", "-interval", "0", "-timeout", "2s", live, dead)...)
-			if code != 0 {
-				t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
-			}
-			var doc struct {
-				Partial bool `json:"partial"`
-				Sources []struct {
-					Source string `json:"source"`
-					Err    string `json:"err"`
-				} `json:"sources"`
-			}
-			if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
-				t.Fatalf("stdout is not JSON: %v\n%s", err, stdout)
-			}
-			if !doc.Partial || len(doc.Sources) != 2 {
-				t.Fatalf("partial = %v, sources = %+v", doc.Partial, doc.Sources)
-			}
-			if s := doc.Sources[0]; s.Source != liveRow[name] || s.Err != "" {
-				t.Errorf("first row = %+v, want the live node", s)
-			}
-			if s := doc.Sources[1]; s.Source != dead || s.Err == "" {
-				t.Errorf("second row = %+v, want the dead node with an error", s)
-			}
-			if n := strings.Count(stderr, "node query failed"); n != 1 {
-				t.Errorf("%d warnings, want 1:\n%s", n, stderr)
+			for _, deadFirst := range []bool{false, true} {
+				order, nodes := "live-first", []string{live, dead}
+				if deadFirst {
+					order, nodes = "dead-first", []string{dead, live}
+				}
+				t.Run(order, func(t *testing.T) {
+					args := append(append(cmd, "-once", "-interval", "0", "-timeout", "2s"), nodes...)
+					code, stdout, stderr := runPmtop(args...)
+					if code != 0 {
+						t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr)
+					}
+					var doc struct {
+						Partial bool `json:"partial"`
+						Sources []struct {
+							Source string `json:"source"`
+							Err    string `json:"err"`
+						} `json:"sources"`
+					}
+					if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
+						t.Fatalf("stdout is not JSON: %v\n%s", err, stdout)
+					}
+					if !doc.Partial || len(doc.Sources) != 2 {
+						t.Fatalf("partial = %v, sources = %+v", doc.Partial, doc.Sources)
+					}
+					for i, node := range nodes {
+						s := doc.Sources[i]
+						if node == live && (s.Source != liveRow[name] || s.Err != "") {
+							t.Errorf("row %d = %+v, want the live node", i, s)
+						}
+						if node == dead && (s.Source != dead || s.Err == "") {
+							t.Errorf("row %d = %+v, want the dead node with an error", i, s)
+						}
+					}
+					if n := strings.Count(stderr, "node query failed"); n != 1 {
+						t.Errorf("%d warnings, want 1:\n%s", n, stderr)
+					}
+				})
 			}
 		})
 	}

@@ -133,7 +133,9 @@ func runRemote(args []string) int {
 	fs.Bool("remote", true, "stitch a cross-node session timeline (this mode)")
 	session := fs.String("session", "", "session id to stitch (see pmtest SID / pmtestd stream -session-file)")
 	nodes := fs.String("nodes", "", "comma-separated -obs-listen endpoints to search (client and checker nodes)")
-	reportNodes := fs.String("report-nodes", "", "comma-separated checker section-protocol addresses for a merged report lookup (optional)")
+	reportNodes := fs.String("report-nodes", "", "comma-separated checker section-protocol addresses for a merged report lookup (optional). "+
+		"It finds only sessions a node still holds: open ones, or ones left behind by a failover. "+
+		"A cleanly closed session's reports are the client's Exit() result")
 	timeout := fs.Duration("timeout", fleet.DefaultTimeout, "per-node query timeout")
 	normalize := fs.Bool("normalize", false, "stable labels instead of addresses/durations (golden-comparable output)")
 	var lo obs.LogOptions

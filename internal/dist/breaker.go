@@ -14,17 +14,6 @@ const (
 	breakerHalfOpen
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // breaker is a per-node circuit breaker: threshold consecutive failures
 // open it, the cooldown elapsing lets exactly one probe through
 // (half-open), and that probe's outcome closes or re-opens it. The
@@ -42,15 +31,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration, now func() time.Time, onOpen func()) *breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
-	if now == nil {
-		now = time.Now
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, now: now, onOpen: onOpen}
 }
 
@@ -105,11 +85,4 @@ func (b *breaker) Failure() {
 	if opened && cb != nil {
 		cb()
 	}
-}
-
-// State names the current state ("closed", "open", "half-open").
-func (b *breaker) State() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state.String()
 }

@@ -19,38 +19,42 @@ func TestBreakerLifecycle(t *testing.T) {
 		event     string // "fail", "success", "advance"
 		adv       time.Duration
 		wantAllow bool
-		wantState string
+		wantState breakerState
 	}
 	cases := []struct {
 		name  string
 		steps []step
 	}{
 		{"opens at threshold", []step{
-			{event: "fail", wantAllow: true, wantState: "closed"},
-			{event: "fail", wantAllow: true, wantState: "closed"},
-			{event: "fail", wantAllow: false, wantState: "open"},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: false, wantState: breakerOpen},
 		}},
 		{"success resets the count", []step{
-			{event: "fail", wantAllow: true, wantState: "closed"},
-			{event: "fail", wantAllow: true, wantState: "closed"},
-			{event: "success", wantAllow: true, wantState: "closed"},
-			{event: "fail", wantAllow: true, wantState: "closed"},
-			{event: "fail", wantAllow: true, wantState: "closed"},
-			{event: "fail", wantAllow: false, wantState: "open"},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "success", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: false, wantState: breakerOpen},
 		}},
 		{"cooldown admits one probe, success closes", []step{
-			{event: "fail"}, {event: "fail"}, {event: "fail", wantAllow: false, wantState: "open"},
-			{event: "advance", adv: time.Second, wantAllow: false, wantState: "open"},
-			{event: "advance", adv: time.Second, wantAllow: true, wantState: "half-open"},
-			{event: "success", wantAllow: true, wantState: "closed"},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: false, wantState: breakerOpen},
+			{event: "advance", adv: time.Second, wantAllow: false, wantState: breakerOpen},
+			{event: "advance", adv: time.Second, wantAllow: true, wantState: breakerHalfOpen},
+			{event: "success", wantAllow: true, wantState: breakerClosed},
 		}},
 		{"half-open probe failure re-opens", []step{
-			{event: "fail"}, {event: "fail"}, {event: "fail", wantAllow: false, wantState: "open"},
-			{event: "advance", adv: 2 * time.Second, wantAllow: true, wantState: "half-open"},
-			{event: "fail", wantAllow: false, wantState: "open"},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: true, wantState: breakerClosed},
+			{event: "fail", wantAllow: false, wantState: breakerOpen},
+			{event: "advance", adv: 2 * time.Second, wantAllow: true, wantState: breakerHalfOpen},
+			{event: "fail", wantAllow: false, wantState: breakerOpen},
 			// The re-open restarts the cooldown from the probe failure.
-			{event: "advance", adv: time.Second, wantAllow: false, wantState: "open"},
-			{event: "advance", adv: time.Second, wantAllow: true, wantState: "half-open"},
+			{event: "advance", adv: time.Second, wantAllow: false, wantState: breakerOpen},
+			{event: "advance", adv: time.Second, wantAllow: true, wantState: breakerHalfOpen},
 		}},
 	}
 	for _, c := range cases {
@@ -67,14 +71,11 @@ func TestBreakerLifecycle(t *testing.T) {
 				case "advance":
 					clock.advance(st.adv)
 				}
-				if st.wantState == "" {
-					continue
-				}
 				if got := b.Allow(); got != st.wantAllow {
 					t.Fatalf("step %d (%s): Allow() = %v, want %v", i, st.event, got, st.wantAllow)
 				}
-				if got := b.State(); got != st.wantState {
-					t.Fatalf("step %d (%s): State() = %q, want %q", i, st.event, got, st.wantState)
+				if b.state != st.wantState {
+					t.Fatalf("step %d (%s): state = %d, want %d", i, st.event, b.state, st.wantState)
 				}
 			}
 		})

@@ -33,7 +33,6 @@ type Transport interface {
 	// write and every wait for an ack on it gets a deadline of timeout.
 	Stream(node, session string, timeout time.Duration) (SectionStream, error)
 	CloseSession(ctx context.Context, node, session string) error
-	Health(ctx context.Context, node string) error
 }
 
 // SectionStream carries one session's sections to one node in order:
@@ -55,8 +54,8 @@ type SectionStream interface {
 
 // HTTPTransport speaks the /v1/* section protocol to pmtestd nodes.
 type HTTPTransport struct {
-	// Client carries the session RPCs (open, close, health) and defaults
-	// to http.DefaultClient; per-RPC deadlines come from the caller's
+	// Client carries the session RPCs (open and close) and defaults to
+	// http.DefaultClient; per-RPC deadlines come from the caller's
 	// context, so no Timeout is set here. Section streams dial their own
 	// connection.
 	Client *http.Client
@@ -195,15 +194,7 @@ func (t *HTTPTransport) CloseSession(ctx context.Context, node, session string) 
 	return t.do(hr, nil)
 }
 
-func (t *HTTPTransport) Health(ctx context.Context, node string) error {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+node+PathHealth, nil)
-	if err != nil {
-		return err
-	}
-	return t.do(hr, nil)
-}
-
-// Options configures a Coordinator.
+// Options configures a remote checking session (see Open).
 type Options struct {
 	// Nodes are the checker node addresses (host:port). Sessions shard
 	// across them by session-id hash; failover walks the ring.
@@ -227,22 +218,13 @@ type Options struct {
 	// dist_sections_dropped) instead of blocking when the buffer is
 	// full — for callers that must never stall the program under test.
 	DropOnOverflow bool
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// node's circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses a node before
-	// admitting a half-open probe (default 2s).
-	BreakerCooldown time.Duration
-	// HealthInterval enables background node health probes (0 = none);
-	// probes feed the breakers, re-closing them when a node recovers.
-	HealthInterval time.Duration
 	// DisableFallback turns off the last rung of the degradation
 	// ladder: with it set, a section that no node accepts is dropped
 	// (and the session carries a deferred error) instead of being
 	// checked by a local in-process engine.
 	DisableFallback bool
-	// TrackOnly and Excludes mirror the engine options of the sessions
-	// opened through this coordinator.
+	// TrackOnly and Excludes mirror the engine options of the session;
+	// the node and the local fallback both check under them.
 	TrackOnly bool
 	Excludes  []core.Range
 
@@ -258,100 +240,19 @@ type Options struct {
 	sleep func(time.Duration)
 }
 
-// Coordinator owns the node ring, the per-node circuit breakers, and
-// the optional health prober; sessions are opened through it.
-type Coordinator struct {
-	opts     Options
-	tr       Transport
-	breakers []*breaker
-	stop     chan struct{}
-	stopOnce sync.Once
-}
+// A node's circuit breaker opens after breakerThreshold consecutive
+// failures and refuses the node for breakerCooldown before admitting one
+// half-open probe.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+)
 
-// NewCoordinator validates the options and starts the health prober
-// (when configured).
-func NewCoordinator(opts Options) (*Coordinator, error) {
-	if len(opts.Nodes) == 0 {
-		return nil, fmt.Errorf("dist: no checker nodes configured")
-	}
-	if opts.Transport == nil {
-		opts.Transport = &HTTPTransport{}
-	}
-	if opts.RPCTimeout <= 0 {
-		opts.RPCTimeout = 5 * time.Second
-	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = 3
-	}
-	if opts.BufferLimit <= 0 {
-		opts.BufferLimit = 16 << 20
-	}
-	if opts.now == nil {
-		opts.now = time.Now
-	}
-	if opts.sleep == nil {
-		opts.sleep = time.Sleep
-	}
-	c := &Coordinator{opts: opts, tr: opts.Transport, stop: make(chan struct{})}
-	onOpen := func() {
-		if m := opts.Metrics; m != nil {
-			m.DistBreakerOpens.Add(1)
-		}
-	}
-	for range opts.Nodes {
-		c.breakers = append(c.breakers, newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.now, onOpen))
-	}
-	if opts.HealthInterval > 0 {
-		go c.probe()
-	}
-	return c, nil
-}
-
-// Close stops the health prober. Open sessions keep working; close
-// them individually.
-func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
-}
-
-// probe feeds the breakers from periodic health checks, so a recovered
-// node rejoins the ring without waiting for live traffic to find it.
-func (c *Coordinator) probe() {
-	tick := time.NewTicker(c.opts.HealthInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-		}
-		for i, node := range c.opts.Nodes {
-			ctx, cancel := context.WithTimeout(context.Background(), c.opts.RPCTimeout)
-			err := c.tr.Health(ctx, node)
-			cancel()
-			if err != nil {
-				c.breakers[i].Failure()
-			} else {
-				c.breakers[i].Success()
-			}
-		}
-	}
-}
-
-// BreakerStates reports each node's breaker state, index-aligned with
-// Options.Nodes.
-func (c *Coordinator) BreakerStates() []string {
-	out := make([]string, len(c.breakers))
-	for i, b := range c.breakers {
-		out[i] = b.State()
-	}
-	return out
-}
-
-// homeNode shards a session onto the ring by stable hash.
-func (c *Coordinator) homeNode(sid string) int {
+// homeNode shards a session onto a ring of n nodes by stable hash.
+func homeNode(sid string, n int) int {
 	h := fnv.New32a()
 	io.WriteString(h, sid)
-	return int(h.Sum32()) % len(c.opts.Nodes)
+	return int(h.Sum32()) % n
 }
 
 // window is the most sections a session keeps written on its stream
@@ -391,7 +292,15 @@ type pendingSection struct {
 // byte-identical to a local engine's. It satisfies the same
 // Submit/Wait/Close/QueueDepths surface as core.Engine.
 type Session struct {
-	c     *Coordinator
+	opts Options
+	// breakers holds one circuit breaker per node, index-aligned with
+	// opts.Nodes; only this session's traffic feeds them.
+	breakers []*breaker
+	// local checks a section in-process, exactly as an engine worker
+	// does: the ladder's last rung. Only the pump, or Submit's oversize
+	// path after the pump has drained, ever calls it, so it is never used
+	// concurrently.
+	local *core.Worker
 	sid   string
 	rules core.RuleSet
 	rng   *rand.Rand
@@ -422,26 +331,58 @@ type Session struct {
 	sentBytes int
 }
 
-// OpenSession starts a checking session under the given model. The
-// remote side is established lazily by the first section, so a dead
-// home node costs a failover, not an open error.
-func (c *Coordinator) OpenSession(sid string, rules core.RuleSet) *Session {
+// Open validates the options and starts a checking session under the
+// given model, homed on a node by session-id hash. The remote side is
+// established lazily by the first section, so a dead home node costs a
+// failover, not an open error. Close the session to stop its sender
+// goroutine.
+func Open(sid string, rules core.RuleSet, opts Options) (*Session, error) {
+	if len(opts.Nodes) == 0 {
+		return nil, fmt.Errorf("dist: no checker nodes configured")
+	}
+	if opts.Transport == nil {
+		opts.Transport = &HTTPTransport{}
+	}
+	if opts.RPCTimeout <= 0 {
+		opts.RPCTimeout = 5 * time.Second
+	}
+	if opts.Attempts <= 0 {
+		opts.Attempts = 3
+	}
+	if opts.BufferLimit <= 0 {
+		opts.BufferLimit = 16 << 20
+	}
+	if opts.now == nil {
+		opts.now = time.Now
+	}
+	if opts.sleep == nil {
+		opts.sleep = time.Sleep
+	}
 	if rules == nil {
 		rules = core.X86{}
 	}
 	h := fnv.New64a()
 	io.WriteString(h, sid)
 	s := &Session{
-		c:       c,
+		opts:    opts,
+		local:   core.NewWorker(core.Options{Rules: rules, TrackOnly: opts.TrackOnly, StaticExcludes: opts.Excludes}),
 		sid:     sid,
 		rules:   rules,
 		rng:     rand.New(rand.NewSource(int64(h.Sum64()))),
-		nodeIdx: c.homeNode(sid),
+		nodeIdx: homeNode(sid, len(opts.Nodes)),
 		done:    make(chan struct{}),
+	}
+	onOpen := func() {
+		if m := opts.Metrics; m != nil {
+			m.DistBreakerOpens.Add(1)
+		}
+	}
+	for range opts.Nodes {
+		s.breakers = append(s.breakers, newBreaker(breakerThreshold, breakerCooldown, opts.now, onOpen))
 	}
 	s.cond = sync.NewCond(&s.mu)
 	go s.pump()
-	return s
+	return s, nil
 }
 
 // Node returns the address of the node currently holding the session's
@@ -453,12 +394,12 @@ func (s *Session) Node() string {
 	if !s.opened {
 		return ""
 	}
-	return s.c.opts.Nodes[s.nodeIdx]
+	return s.opts.Nodes[s.nodeIdx]
 }
 
 // Submit buffers one section for remote checking. It blocks when the
 // unacknowledged buffer is at Options.BufferLimit (backpressure) unless
-// the coordinator drops on overflow. Like core.Engine, Submit after
+// the session drops on overflow. Like core.Engine, Submit after
 // Close panics.
 func (s *Session) Submit(t *trace.Trace) {
 	var buf bytes.Buffer
@@ -480,14 +421,14 @@ func (s *Session) Submit(t *trace.Trace) {
 	}
 	payload := buf.Bytes()
 	sz := int64(len(payload))
-	m := s.c.opts.Metrics
-	if sz > s.c.opts.BufferLimit {
+	m := s.opts.Metrics
+	if sz > s.opts.BufferLimit {
 		// A section bigger than the whole buffer can never be enqueued
 		// within the cap. Preserve report order by draining the backlog,
 		// then either drop it or check it in-process.
 		seq := s.nextSeq
 		s.nextSeq++
-		if s.c.opts.DropOnOverflow {
+		if s.opts.DropOnOverflow {
 			s.mu.Unlock()
 			if m != nil {
 				m.DistSectionsDropped.Add(1)
@@ -497,15 +438,15 @@ func (s *Session) Submit(t *trace.Trace) {
 		for len(s.pending) > 0 {
 			s.cond.Wait()
 		}
-		s.setReport(seq, s.checkLocal(&pendingSection{seq: seq, tr: t}))
+		s.setReport(seq, s.local.Check(t))
 		s.mu.Unlock()
 		if m != nil {
 			m.DistFallbacks.Add(1)
 		}
 		return
 	}
-	for s.pendingBytes+sz > s.c.opts.BufferLimit && len(s.pending) > 0 {
-		if s.c.opts.DropOnOverflow {
+	for s.pendingBytes+sz > s.opts.BufferLimit && len(s.pending) > 0 {
+		if s.opts.DropOnOverflow {
 			s.nextSeq++ // the seq is consumed so reports stay index-aligned
 			s.mu.Unlock()
 			if m != nil {
@@ -584,9 +525,10 @@ func (s *Session) Close() []core.Report {
 		return reports
 	}
 	<-s.done
+	s.local.Close()
 	if opened {
-		ctx, cancel := context.WithTimeout(context.Background(), s.c.opts.RPCTimeout)
-		s.c.tr.CloseSession(ctx, s.c.opts.Nodes[idx], s.sid)
+		ctx, cancel := context.WithTimeout(context.Background(), s.opts.RPCTimeout)
+		s.opts.Transport.CloseSession(ctx, s.opts.Nodes[idx], s.sid)
 		cancel()
 	}
 	return reports
@@ -625,7 +567,7 @@ func (s *Session) pump() {
 		s.pendingBytes -= int64(len(p.payload))
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		if m := s.c.opts.Metrics; m != nil {
+		if m := s.opts.Metrics; m != nil {
 			m.DistBufferedBytes.Add(-int64(len(p.payload)))
 		}
 	}
@@ -636,7 +578,6 @@ func (s *Session) pump() {
 // local fallback engine. It returns ok=false only when fallback is
 // disabled and no node accepted the section.
 func (s *Session) deliver(p *pendingSection) (core.Report, bool) {
-	c := s.c
 	span := s.rpcSpan(p)
 	finish := func(route string, err error) {
 		if span != nil {
@@ -652,13 +593,13 @@ func (s *Session) deliver(p *pendingSection) (core.Report, bool) {
 	// plus a full failover lap around the ring before degrading.
 	var lastErr error
 ring:
-	for step := 0; step < 2*len(c.opts.Nodes)+1; step++ {
+	for step := 0; step < 2*len(s.opts.Nodes)+1; step++ {
 		s.mu.Lock()
 		idx := s.nodeIdx
 		opened := s.opened
 		s.mu.Unlock()
-		node := c.opts.Nodes[idx]
-		br := c.breakers[idx]
+		node := s.opts.Nodes[idx]
+		br := s.breakers[idx]
 		if !br.Allow() {
 			s.failover(idx, nil)
 			continue
@@ -679,7 +620,7 @@ ring:
 		}
 		rep, err := s.sendSection(idx, p, br)
 		if err == nil {
-			if m := c.opts.Metrics; m != nil {
+			if m := s.opts.Metrics; m != nil {
 				m.DistSectionsSent.Add(1)
 			}
 			finish("node:"+node, nil)
@@ -693,15 +634,15 @@ ring:
 			s.mu.Lock()
 			s.opened = false
 			s.mu.Unlock()
-			if c.opts.Logger != nil {
-				c.opts.Logger.Warn("dist session lost; reopening", "session", s.sid,
+			if s.opts.Logger != nil {
+				s.opts.Logger.Warn("dist session lost; reopening", "session", s.sid,
 					"node", node, "seq", p.seq, "err", err)
 			}
 		case classRefused:
 			// This section can never be accepted (undecodable on the
 			// node). Local fallback still checks it.
-			if s.setErr(fmt.Errorf("dist: section %d refused by %s: %w", p.seq, node, err)) && c.opts.Logger != nil {
-				c.opts.Logger.Error("dist section refused", "session", s.sid,
+			if s.setErr(fmt.Errorf("dist: section %d refused by %s: %w", p.seq, node, err)) && s.opts.Logger != nil {
+				s.opts.Logger.Error("dist section refused", "session", s.sid,
 					"node", node, "seq", p.seq, "err", err)
 			}
 			break ring
@@ -710,19 +651,19 @@ ring:
 		}
 	}
 
-	if !c.opts.DisableFallback {
-		if m := c.opts.Metrics; m != nil {
+	if !s.opts.DisableFallback {
+		if m := s.opts.Metrics; m != nil {
 			m.DistFallbacks.Add(1)
 		}
-		if c.opts.Logger != nil {
-			c.opts.Logger.Warn("dist degraded to local check", "session", s.sid,
+		if s.opts.Logger != nil {
+			s.opts.Logger.Warn("dist degraded to local check", "session", s.sid,
 				"seq", p.seq, "err", lastErr)
 		}
 		finish("local-fallback", lastErr)
-		return s.checkLocal(p), true
+		return s.local.Check(p.tr), true
 	}
 	s.setErr(fmt.Errorf("dist: section %d undeliverable, fallback disabled: %w", p.seq, lastErr))
-	if m := c.opts.Metrics; m != nil {
+	if m := s.opts.Metrics; m != nil {
 		m.DistSectionsDropped.Add(1)
 	}
 	finish("dropped", lastErr)
@@ -732,19 +673,18 @@ ring:
 // open (re-)establishes the remote session on node idx with the replay
 // window starting at startSeq.
 func (s *Session) open(idx int, startSeq uint64) error {
-	c := s.c
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.RPCTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RPCTimeout)
 	defer cancel()
-	_, err := c.tr.Open(ctx, c.opts.Nodes[idx], OpenRequest{
+	_, err := s.opts.Transport.Open(ctx, s.opts.Nodes[idx], OpenRequest{
 		Version:   ProtocolVersion,
 		Session:   s.sid,
 		Model:     s.rules.Name(),
-		TrackOnly: c.opts.TrackOnly,
-		Excludes:  c.opts.Excludes,
+		TrackOnly: s.opts.TrackOnly,
+		Excludes:  s.opts.Excludes,
 		StartSeq:  startSeq,
 	})
 	if err != nil {
-		if m := c.opts.Metrics; m != nil {
+		if m := s.opts.Metrics; m != nil {
 			m.DistRPCErrors.Add(1)
 		}
 		return err
@@ -762,22 +702,21 @@ func (s *Session) open(idx int, startSeq uint64) error {
 // from p. Non-retryable errors return immediately for the caller to
 // classify.
 func (s *Session) sendSection(idx int, p *pendingSection, br *breaker) (core.Report, error) {
-	c := s.c
-	node := c.opts.Nodes[idx]
-	m := c.opts.Metrics
+	node := s.opts.Nodes[idx]
+	m := s.opts.Metrics
 	var lastErr error
-	for attempt := 0; attempt < c.opts.Attempts; attempt++ {
+	for attempt := 0; attempt < s.opts.Attempts; attempt++ {
 		if attempt > 0 {
 			if m != nil {
 				m.DistRetries.Add(1)
 			}
-			c.opts.sleep(c.opts.Backoff.Delay(attempt-1, s.rng.Float64))
+			s.opts.sleep(s.opts.Backoff.Delay(attempt-1, s.rng.Float64))
 		}
 		rep, err := s.ack(node, p)
 		if err == nil {
 			br.Success()
 			if m != nil {
-				m.DistRTT.Observe(c.opts.now().Sub(p.written))
+				m.DistRTT.Observe(s.opts.now().Sub(p.written))
 			}
 			return rep, nil
 		}
@@ -798,9 +737,8 @@ func (s *Session) sendSection(idx int, p *pendingSection, br *breaker) (core.Rep
 // the stream yet, dialing node first when there is no stream, then
 // reads the ack of the head p.
 func (s *Session) ack(node string, p *pendingSection) (core.Report, error) {
-	c := s.c
 	if s.stream == nil {
-		st, err := c.tr.Stream(node, s.sid, c.opts.RPCTimeout)
+		st, err := s.opts.Transport.Stream(node, s.sid, s.opts.RPCTimeout)
 		if err != nil {
 			return core.Report{}, err
 		}
@@ -817,7 +755,7 @@ func (s *Session) ack(node string, p *pendingSection) (core.Report, error) {
 		if err := s.stream.Send(q.seq, q.payload, q.crc, q.spanID); err != nil {
 			return core.Report{}, err
 		}
-		q.written = c.opts.now()
+		q.written = s.opts.now()
 		s.sent++
 		s.sentBytes += len(q.payload)
 	}
@@ -847,7 +785,7 @@ func (s *Session) dropStream() {
 // exactly one, however often it is written, and its route attribute
 // records where the section finally landed.
 func (s *Session) rpcSpan(p *pendingSection) *flight.Span {
-	if fl := s.c.opts.Flight; fl != nil && p.span == nil {
+	if fl := s.opts.Flight; fl != nil && p.span == nil {
 		// Parent under the client's section span and carry its ID as an
 		// attribute, so a timeline stitcher can join this delivery to
 		// the section it shipped.
@@ -865,50 +803,31 @@ func (s *Session) rpcSpan(p *pendingSection) *flight.Span {
 // a live session was actually lost, not when sharding merely skips an
 // open breaker.
 func (s *Session) failover(fromIdx int, cause error) {
-	c := s.c
 	s.dropStream()
 	s.mu.Lock()
 	hadSession := s.opened
 	s.opened = false
-	s.nodeIdx = (fromIdx + 1) % len(c.opts.Nodes)
-	to := c.opts.Nodes[s.nodeIdx]
+	s.nodeIdx = (fromIdx + 1) % len(s.opts.Nodes)
+	to := s.opts.Nodes[s.nodeIdx]
 	s.mu.Unlock()
 	if !hadSession {
 		return
 	}
-	if m := c.opts.Metrics; m != nil {
+	if m := s.opts.Metrics; m != nil {
 		m.DistFailovers.Add(1)
 	}
-	if fl := c.opts.Flight; fl != nil {
+	if fl := s.opts.Flight; fl != nil {
 		sp := fl.Start(flight.CatRPC, "failover", 0).
-			SetStr("session", s.sid).SetStr("from", c.opts.Nodes[fromIdx]).SetStr("to", to)
+			SetStr("session", s.sid).SetStr("from", s.opts.Nodes[fromIdx]).SetStr("to", to)
 		if cause != nil {
 			sp.SetErr(true).SetStr("err", cause.Error())
 		}
 		sp.Finish()
 	}
-	if c.opts.Logger != nil {
-		c.opts.Logger.Warn("dist failover", "session", s.sid,
-			"from", c.opts.Nodes[fromIdx], "to", to, "err", cause)
+	if s.opts.Logger != nil {
+		s.opts.Logger.Warn("dist failover", "session", s.sid,
+			"from", s.opts.Nodes[fromIdx], "to", to, "err", cause)
 	}
-}
-
-// checkLocal is the ladder's last rung: check the section in-process,
-// exactly as a one-shot engine would, so Wait never hangs on a dead
-// fleet and the reports stay complete and identical.
-func (s *Session) checkLocal(p *pendingSection) core.Report {
-	if s.c.opts.TrackOnly {
-		n := 0
-		for _, op := range p.tr.Ops {
-			if !op.Kind.IsChecker() {
-				n++
-			}
-		}
-		return core.Report{TraceID: int(p.seq), Thread: p.tr.Thread, Ops: len(p.tr.Ops), TrackedOps: n}
-	}
-	rep := core.CheckTraceExcluding(s.rules, p.tr, s.c.opts.Excludes)
-	rep.TraceID = int(p.seq)
-	return rep
 }
 
 // setErr records the first deferred error; reports whether this call

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
@@ -26,7 +25,6 @@ type funcTransport struct {
 	openFn    func(node string, req OpenRequest) (OpenResponse, error)
 	sectionFn func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error)
 	closeFn   func(node, sid string) error
-	healthFn  func(node string) error
 
 	mu sync.Mutex
 	// writes lists the seqs written on each stream, in dial order.
@@ -98,16 +96,9 @@ func (f *funcTransport) CloseSession(_ context.Context, node, sid string) error 
 	return f.closeFn(node, sid)
 }
 
-func (f *funcTransport) Health(_ context.Context, node string) error {
-	if f.healthFn == nil {
-		return nil
-	}
-	return f.healthFn(node)
-}
-
-// testCoordinator builds a coordinator with a fake clock, recorded
-// sleeps, and fresh metrics.
-func testCoordinator(t *testing.T, nodes []string, tr Transport, mod func(*Options)) (*Coordinator, *obs.Metrics, *[]time.Duration) {
+// testSession opens an x86 session with a fake clock, recorded sleeps,
+// and fresh metrics.
+func testSession(t *testing.T, sid string, nodes []string, tr Transport, mod func(*Options)) (*Session, *obs.Metrics, *[]time.Duration) {
 	t.Helper()
 	var (
 		mu     sync.Mutex
@@ -129,12 +120,11 @@ func testCoordinator(t *testing.T, nodes []string, tr Transport, mod func(*Optio
 	if mod != nil {
 		mod(&opts)
 	}
-	c, err := NewCoordinator(opts)
+	s, err := Open(sid, core.X86{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c, opts.Metrics, &sleeps
+	return s, opts.Metrics, &sleeps
 }
 
 func testTrace(i int) *trace.Trace {
@@ -162,8 +152,7 @@ func TestRetryThenSuccess(t *testing.T) {
 			return ackReport(seq), nil
 		},
 	}
-	c, m, sleeps := testCoordinator(t, []string{"a:1"}, tr, nil)
-	s := c.OpenSession("retry", core.X86{})
+	s, m, sleeps := testSession(t, "retry", []string{"a:1"}, tr, nil)
 	s.Submit(testTrace(0))
 	reports := s.Close()
 
@@ -218,8 +207,7 @@ func TestFailoverReplaysUnacked(t *testing.T) {
 		return ackReport(seq), nil
 	}
 
-	c, m, _ := testCoordinator(t, []string{"a:1", "b:1"}, tr, nil)
-	s := c.OpenSession("failover", core.X86{})
+	s, m, _ := testSession(t, "failover", []string{"a:1", "b:1"}, tr, nil)
 	// Land the first two sections, then kill the home node.
 	s.Submit(testTrace(0))
 	s.Submit(testTrace(1))
@@ -289,8 +277,7 @@ func TestSessionLostReopens(t *testing.T) {
 		}
 		return ackReport(seq), nil
 	}
-	c, m, _ := testCoordinator(t, []string{"a:1"}, tr, nil)
-	s := c.OpenSession("lost", core.X86{})
+	s, m, _ := testSession(t, "lost", []string{"a:1"}, tr, nil)
 	s.Submit(testTrace(0))
 	s.Submit(testTrace(1))
 	reports := s.Close()
@@ -321,8 +308,7 @@ func TestRefusedSectionFallsBackLocal(t *testing.T) {
 			return ackReport(seq), nil
 		},
 	}
-	c, m, _ := testCoordinator(t, []string{"a:1"}, tr, nil)
-	s := c.OpenSession("refused", core.X86{})
+	s, m, _ := testSession(t, "refused", []string{"a:1"}, tr, nil)
 	s.Submit(testTrace(0))
 	s.Submit(testTrace(1))
 	reports := s.Close()
@@ -356,8 +342,7 @@ func TestAllNodesDownDegradesToLocal(t *testing.T) {
 			return core.Report{}, errors.New("no route to host")
 		},
 	}
-	c, m, _ := testCoordinator(t, []string{"a:1", "b:1"}, tr, nil)
-	s := c.OpenSession("dark-fleet", core.X86{})
+	s, m, _ := testSession(t, "dark-fleet", []string{"a:1", "b:1"}, tr, nil)
 	const n = 6
 	for i := 0; i < n; i++ {
 		s.Submit(testTrace(i))
@@ -379,9 +364,9 @@ func TestAllNodesDownDegradesToLocal(t *testing.T) {
 	if snap.DistBreakerOpens == 0 {
 		t.Fatal("breakers never opened against a dark fleet")
 	}
-	for _, st := range c.BreakerStates() {
-		if st != "open" {
-			t.Fatalf("breaker states = %v, want all open", c.BreakerStates())
+	for i, b := range s.breakers {
+		if b.state != breakerOpen {
+			t.Fatalf("breaker %d state = %d, want open (%d)", i, b.state, breakerOpen)
 		}
 	}
 }
@@ -398,8 +383,7 @@ func TestDisableFallbackDropsAndErrs(t *testing.T) {
 			return core.Report{}, errors.New("down")
 		},
 	}
-	c, m, _ := testCoordinator(t, []string{"a:1"}, tr, func(o *Options) { o.DisableFallback = true })
-	s := c.OpenSession("strict", core.X86{})
+	s, m, _ := testSession(t, "strict", []string{"a:1"}, tr, func(o *Options) { o.DisableFallback = true })
 	s.Submit(testTrace(0))
 	s.Submit(testTrace(1))
 	reports := s.Close()
@@ -435,8 +419,7 @@ func TestBufferCapAndBackpressure(t *testing.T) {
 		},
 	}
 	limit := 2*sz + sz/2 // room for two buffered sections
-	c, m, _ := testCoordinator(t, []string{"a:1"}, tr, func(o *Options) { o.BufferLimit = limit })
-	s := c.OpenSession("pressure", core.X86{})
+	s, m, _ := testSession(t, "pressure", []string{"a:1"}, tr, func(o *Options) { o.BufferLimit = limit })
 
 	const n = 6
 	done := make(chan struct{})
@@ -486,8 +469,7 @@ func TestAckedSectionsReleased(t *testing.T) {
 			return ackReport(seq), nil
 		},
 	}
-	c, _, _ := testCoordinator(t, []string{"a:1"}, tr, nil)
-	s := c.OpenSession("release", core.X86{})
+	s, _, _ := testSession(t, "release", []string{"a:1"}, tr, nil)
 	defer s.Close()
 	var collected atomic.Int64
 	for i := 0; i < n; i++ {
@@ -526,11 +508,10 @@ func TestDropOnOverflow(t *testing.T) {
 		sz = int64(buf.Len())
 	}
 	limit := 2*sz + sz/2
-	c, m, _ := testCoordinator(t, []string{"a:1"}, tr, func(o *Options) {
+	s, m, _ := testSession(t, "overflow", []string{"a:1"}, tr, func(o *Options) {
 		o.BufferLimit = limit
 		o.DropOnOverflow = true
 	})
-	s := c.OpenSession("overflow", core.X86{})
 	const n = 6
 	for i := 0; i < n; i++ {
 		s.Submit(testTrace(i)) // never blocks
@@ -556,44 +537,5 @@ func TestDropOnOverflow(t *testing.T) {
 			t.Fatalf("bad or duplicate TraceID %d", r.TraceID)
 		}
 		seen[r.TraceID] = true
-	}
-}
-
-// TestBreakerSkipsDeadNodeAcrossSessions: once a node's breaker opens,
-// a new session homed on it routes around without burning retries.
-func TestBreakerSkipsDeadNode(t *testing.T) {
-	var (
-		mu       sync.Mutex
-		attempts = map[string]int{}
-	)
-	tr := &funcTransport{}
-	tr.openFn = func(node string, req OpenRequest) (OpenResponse, error) {
-		mu.Lock()
-		attempts[node]++
-		mu.Unlock()
-		if node == "a:1" {
-			return OpenResponse{}, errors.New("down")
-		}
-		return OpenResponse{Session: req.Session, NextSeq: req.StartSeq}, nil
-	}
-	tr.sectionFn = func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error) {
-		if node == "a:1" {
-			return core.Report{}, errors.New("down")
-		}
-		return ackReport(seq), nil
-	}
-	c, _, _ := testCoordinator(t, []string{"a:1", "b:1"}, tr, func(o *Options) { o.BreakerThreshold = 1 })
-	// Enough sessions that at least one hashes onto the dead node.
-	for i := 0; i < 4; i++ {
-		s := c.OpenSession(fmt.Sprintf("sess-%d", i), core.X86{})
-		s.Submit(testTrace(i))
-		if reports := s.Close(); len(reports) != 1 {
-			t.Fatalf("session %d: %d reports, want 1", i, len(reports))
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if attempts["a:1"] > 1 {
-		t.Fatalf("dead node dialed %d times; breaker should have short-circuited after 1", attempts["a:1"])
 	}
 }

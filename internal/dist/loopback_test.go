@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -55,7 +56,7 @@ func encodeSection(t *testing.T, tr *trace.Trace) ([]byte, uint32) {
 
 // TestNodeProtocol exercises the section protocol against a real node
 // over real HTTP: idempotent duplicate delivery, sequence-gap and CRC
-// rejection, unknown sessions, and version refusal.
+// rejection, unknown sessions, version and model refusal, and /healthz.
 func TestNodeProtocol(t *testing.T) {
 	addr, _, _ := startTestNode(t)
 	ht := &HTTPTransport{}
@@ -105,8 +106,27 @@ func TestNodeProtocol(t *testing.T) {
 	if _, err := ht.Open(ctx, addr, OpenRequest{Version: 99, Session: "v", Model: "x86"}); classify(err) != classRefused {
 		t.Fatalf("bad version: err = %v, want a refused class", err)
 	}
-	if err := ht.Health(ctx, addr); err != nil {
+	// Every built-in model is accepted by name, and "" means x86; an
+	// unknown name is refused.
+	models := []string{""}
+	for name := range core.Models() {
+		models = append(models, name)
+	}
+	for _, model := range models {
+		if _, err := ht.Open(ctx, addr, OpenRequest{Version: ProtocolVersion, Session: "model-" + model, Model: model}); err != nil {
+			t.Fatalf("open with model %q: %v", model, err)
+		}
+	}
+	if _, err := ht.Open(ctx, addr, OpenRequest{Version: ProtocolVersion, Session: "m", Model: "tso"}); classify(err) != classRefused {
+		t.Fatalf("unknown model: err = %v, want a refused class", err)
+	}
+	resp, err := http.Get("http://" + addr + PathHealth)
+	if err != nil {
 		t.Fatalf("health: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("health: status %d, want 200", resp.StatusCode)
 	}
 
 	if err := ht.CloseSession(ctx, addr, "s"); err != nil {

@@ -27,10 +27,6 @@ type NodeConfig struct {
 	Flight *flight.Recorder
 	// Logger receives session lifecycle records. Optional.
 	Logger *slog.Logger
-	// Limits bounds each decoded section (trace.DefaultLimits when
-	// zero) — a corrupt or hostile length prefix is refused, not
-	// allocated.
-	Limits trace.Limits
 	// MaxSessions bounds concurrently hosted sessions (default 256);
 	// opens beyond it are refused with 503 (retryable client-side).
 	MaxSessions int
@@ -170,7 +166,11 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty session id")
 		return
 	}
-	rules, ok := rulesByName(req.Model)
+	model := req.Model
+	if model == "" {
+		model = "x86"
+	}
+	rules, ok := core.Models()[model]
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown model %q", req.Model)
 		return
@@ -259,7 +259,9 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad %s: %v", headerCRC, err)
 		return
 	}
-	lim := n.cfg.Limits.WithDefaults()
+	// Every section decodes under trace.DefaultLimits: a corrupt or
+	// hostile length prefix is refused, not allocated.
+	lim := trace.DefaultLimits
 	sb := sectionPool.Get().(*sectionBuf)
 	defer sb.release()
 	body, err := sb.read(r, lim.MaxBytes+1)
@@ -313,7 +315,7 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		return
 	case seq == next:
 		tr := &sb.tr
-		if err := trace.DecodeBytes(tr, body, n.cfg.Limits); err != nil {
+		if err := trace.DecodeBytes(tr, body, lim); err != nil {
 			rpcSpan.SetErr(true)
 			httpError(w, http.StatusBadRequest, "undecodable section: %v", err)
 			return
@@ -387,11 +389,11 @@ func (b *sectionBuf) release() {
 	}
 }
 
-// handleReports serves the coordinator read path: every report this
+// handleReports serves the fleet report read path: every report this
 // node holds for one session. A session this node never hosted (or
-// already reaped) answers an empty list, not an error — the fan-out
-// querier treats "no data here" as a normal outcome, reserving error
-// rows for nodes that are actually unreachable.
+// already closed or reaped) answers an empty list, not an error — the
+// fan-out querier treats "no data here" as a normal outcome, reserving
+// error rows for nodes that are actually unreachable.
 func (n *Node) handleReports(w http.ResponseWriter, r *http.Request) {
 	sid := r.URL.Query().Get("session")
 	if sid == "" {

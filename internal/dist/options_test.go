@@ -1,0 +1,133 @@
+package dist_test
+
+import (
+	"net"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"pmtest/internal/core"
+	"pmtest/internal/dist"
+	"pmtest/internal/harness"
+	"pmtest/internal/obs"
+	"pmtest/internal/trace"
+)
+
+// hidden is the line the excludes case removes from checking.
+const hidden = 0x8000
+
+// optionSections mixes clean sections with two kinds of FAIL: a checked
+// transaction that modifies hidden without a log backup and never
+// persists it, which static excludes hide, and an unflushed write that
+// an explicit isPersist asserts, which they do not.
+func optionSections() [][]trace.Op {
+	var out [][]trace.Op
+	for i := 0; i < 6; i++ {
+		addr := uint64(0x1000 + i*64)
+		switch i % 3 {
+		case 0:
+			out = append(out, []trace.Op{
+				{Kind: trace.KindWrite, Addr: addr, Size: 64},
+				{Kind: trace.KindFlush, Addr: addr, Size: 64},
+				{Kind: trace.KindFence},
+				{Kind: trace.KindIsPersist, Addr: addr, Size: 64},
+			})
+		case 1:
+			out = append(out, []trace.Op{
+				{Kind: trace.KindTxCheckerStart},
+				{Kind: trace.KindTxBegin},
+				{Kind: trace.KindWrite, Addr: hidden, Size: 64},
+				{Kind: trace.KindTxEnd},
+				{Kind: trace.KindTxCheckerEnd},
+			})
+		default:
+			out = append(out, []trace.Op{
+				{Kind: trace.KindWrite, Addr: addr, Size: 8},
+				{Kind: trace.KindIsPersist, Addr: addr, Size: 8},
+			})
+		}
+	}
+	return out
+}
+
+// localDump checks sections on a local engine built from opts.
+func localDump(opts core.Options, sections [][]trace.Op) string {
+	return harness.DumpReports(harness.ReplaySections(core.NewEngine(opts), sections, 0))
+}
+
+// TestRemoteEngineOptions: a session's TrackOnly and Excludes reach the
+// node that checks its sections and the local fallback that checks them
+// when no node answers. On either path the reports equal, byte for
+// byte, a local engine's built with the same options.
+func TestRemoteEngineOptions(t *testing.T) {
+	node := dist.NewNode(dist.NodeConfig{})
+	srv := httptest.NewServer(node)
+	t.Cleanup(func() {
+		srv.Close()
+		node.Close()
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close() // connection refused from here on
+
+	sections := optionSections()
+	plain := localDump(core.Options{}, sections)
+	cases := []struct {
+		name      string
+		trackOnly bool
+		excludes  []core.Range
+	}{
+		{"track-only", true, nil},
+		{"excludes", false, []core.Range{{Addr: hidden, Size: 64}}},
+	}
+	fleets := []struct {
+		name string
+		addr string
+		up   bool
+	}{
+		{"node", strings.TrimPrefix(srv.URL, "http://"), true},
+		{"dead-fleet", dead, false},
+	}
+	for _, tc := range cases {
+		want := localDump(core.Options{TrackOnly: tc.trackOnly, StaticExcludes: tc.excludes}, sections)
+		if want == plain {
+			t.Fatalf("%s: the options change no report, so the case proves nothing", tc.name)
+		}
+		if tc.excludes != nil && !strings.Contains(want, "FAIL") {
+			t.Fatalf("%s: the excludes hide every FAIL, want only those at %#x hidden:\n%s", tc.name, hidden, want)
+		}
+		for _, fl := range fleets {
+			t.Run(tc.name+"/"+fl.name, func(t *testing.T) {
+				m := obs.NewMetrics(8)
+				s, err := dist.Open("options-"+tc.name, core.X86{}, dist.Options{
+					Nodes:      []string{fl.addr},
+					RPCTimeout: 2 * time.Second,
+					Attempts:   1,
+					TrackOnly:  tc.trackOnly,
+					Excludes:   tc.excludes,
+					Metrics:    m,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := harness.DumpReports(harness.ReplaySections(s, sections, 0))
+				if got != want {
+					t.Fatalf("reports differ from a local engine's:\nlocal:\n%s\nremote:\n%s", want, got)
+				}
+				sent, fallbacks := uint64(len(sections)), uint64(0)
+				if !fl.up {
+					sent, fallbacks = 0, uint64(len(sections))
+				}
+				snap := m.Snapshot()
+				if snap.DistSectionsSent != sent || snap.DistFallbacks != fallbacks {
+					t.Fatalf("sent=%d fallbacks=%d, want %d/%d",
+						snap.DistSectionsSent, snap.DistFallbacks, sent, fallbacks)
+				}
+			})
+		}
+	}
+}

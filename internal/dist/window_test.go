@@ -66,8 +66,7 @@ func TestWindowHeadFails(t *testing.T) {
 				acked = append(acked, seq)
 				return ackReport(seq), nil
 			}
-			c, m, _ := testCoordinator(t, []string{"a:1"}, tr, nil)
-			s := c.OpenSession("head-"+tc.name, core.X86{})
+			s, m, _ := testSession(t, "head-"+tc.name, []string{"a:1"}, tr, nil)
 			for i := 0; i < n; i++ {
 				s.Submit(testTrace(i))
 			}
@@ -111,10 +110,10 @@ func TestWindowHeadFails(t *testing.T) {
 	}
 }
 
-// TestWindowBreakerFailover: a breaker opened from outside the stream
-// (as the health prober does) moves the session to the next node. The
-// stream to the old node goes with it, so every later section is
-// written to and acknowledged by the new node.
+// TestWindowBreakerFailover: a breaker opened from outside the stream,
+// by failures recorded on it between sections, moves the session to the
+// next node. The stream to the old node goes with it, so every later
+// section is written to and acknowledged by the new node.
 func TestWindowBreakerFailover(t *testing.T) {
 	var (
 		mu    sync.Mutex
@@ -128,12 +127,13 @@ func TestWindowBreakerFailover(t *testing.T) {
 		return ackReport(seq), nil
 	}
 	nodes := []string{"a:1", "b:1"}
-	c, m, _ := testCoordinator(t, nodes, tr, func(o *Options) { o.BreakerThreshold = 1 })
-	s := c.OpenSession("breaker", core.X86{})
+	s, m, _ := testSession(t, "breaker", nodes, tr, nil)
 	s.Submit(testTrace(0))
 	s.Wait()
-	home := c.homeNode("breaker")
-	c.breakers[home].Failure()
+	home := homeNode("breaker", len(nodes))
+	for i := 0; i < breakerThreshold; i++ {
+		s.breakers[home].Failure()
+	}
 	for i := 1; i < 4; i++ {
 		s.Submit(testTrace(i))
 	}
@@ -318,7 +318,16 @@ func TestWindowFailoverMidWindow(t *testing.T) {
 	a, b := startWindowNode(t), startWindowNode(t)
 	log := newSendLog()
 	m := obs.NewMetrics(8)
-	c, err := NewCoordinator(Options{
+	const sid = "mid-window"
+	home, survivor := a, b
+	if homeNode(sid, 2) == 1 {
+		home, survivor = b, a
+	}
+	home.mu.Lock()
+	home.hold = k
+	home.mu.Unlock()
+
+	s, err := Open(sid, core.X86{}, Options{
 		Nodes:      []string{a.addr, b.addr},
 		Transport:  log,
 		RPCTimeout: 5 * time.Second,
@@ -329,18 +338,6 @@ func TestWindowFailoverMidWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-
-	const sid = "mid-window"
-	home, survivor := a, b
-	if c.homeNode(sid) == 1 {
-		home, survivor = b, a
-	}
-	home.mu.Lock()
-	home.hold = k
-	home.mu.Unlock()
-
-	s := c.OpenSession(sid, core.X86{})
 	for i := 0; i < n; i++ {
 		s.Submit(windowTrace(i))
 	}
@@ -394,7 +391,7 @@ func TestWindowAckDeadline(t *testing.T) {
 	w.hold = 0
 	w.mu.Unlock()
 	m := obs.NewMetrics(8)
-	c, err := NewCoordinator(Options{
+	s, err := Open("deadline", core.X86{}, Options{
 		Nodes:      []string{w.addr},
 		RPCTimeout: timeout,
 		Backoff:    Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
@@ -403,8 +400,6 @@ func TestWindowAckDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	s := c.OpenSession("deadline", core.X86{})
 	start := time.Now()
 	s.Submit(windowTrace(0))
 	reports := s.Close()
@@ -459,7 +454,7 @@ func TestWindowLargeReports(t *testing.T) {
 		node.Close()
 	})
 	m := obs.NewMetrics(8)
-	c, err := NewCoordinator(Options{
+	s, err := Open("large-reports", core.X86{}, Options{
 		Nodes:      []string{strings.TrimPrefix(srv.URL, "http://")},
 		RPCTimeout: 3 * time.Second,
 		Attempts:   1,
@@ -468,8 +463,6 @@ func TestWindowLargeReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	s := c.OpenSession("large-reports", core.X86{})
 	for i := 0; i < n; i++ {
 		ops := make([]trace.Op, 0, 2*lines)
 		for l := 0; l < lines; l++ {

@@ -7,13 +7,17 @@
 // pipelines its sections on one HTTP/1.1 connection, keeping up to 32
 // written and unacknowledged.
 //
-// The robustness layer is the point of the package: per-RPC deadlines,
-// capped exponential backoff with jitter, per-node circuit breakers,
-// failover that replays buffered unacknowledged sections on a healthy
-// node, and (by default) graceful degradation to a local in-process
-// check when every node is down. Every degradation step is observable
-// through obs counters (dist_retries, dist_failovers, dist_fallbacks,
-// dist_buffered_bytes, ...).
+// One type is the client: Open returns a Session, which homes on a node
+// by session-id hash and owns everything its delivery needs. The
+// robustness layer is the point of the package: per-RPC deadlines,
+// capped exponential backoff with jitter, one circuit breaker per node
+// in each session (fed by that session's traffic alone; there is no
+// background health prober), failover that replays buffered
+// unacknowledged sections on a healthy node, and (by default) graceful
+// degradation to a local in-process check, through the same
+// core.Worker a node session runs, when every node is down. Every
+// degradation step is observable through obs counters (dist_retries,
+// dist_failovers, dist_fallbacks, dist_buffered_bytes, ...).
 package dist
 
 import (
@@ -33,10 +37,11 @@ const (
 	PathSection = "/v1/section"
 	PathClose   = "/v1/close"
 	PathHealth  = "/healthz"
-	// PathReports is the coordinator read path: GET ?session=<sid>
+	// PathReports is the fleet report read path: GET ?session=<sid>
 	// returns every report the node holds for that session (empty list
-	// for sessions it never hosted), so a fan-out query across the fleet
-	// reassembles a session's reports wherever failovers scattered them.
+	// for sessions it never hosted or no longer holds), so a fan-out
+	// query across the fleet reassembles a session's reports wherever
+	// failovers scattered them.
 	PathReports = "/reports/v1/query"
 )
 
@@ -82,7 +87,7 @@ type CloseResponse struct {
 
 // ReportsResponse is the PathReports document: the reports a node holds
 // for one session, in section order. StartSeq is the seq of the first
-// report (the node's replay-window base), so a coordinator merging
+// report (the node's replay-window base), so a reader merging
 // responses from several nodes can place each slice on the session's
 // global sequence axis.
 type ReportsResponse struct {
@@ -135,20 +140,4 @@ func classify(err error) errClass {
 	default:
 		return classRefused
 	}
-}
-
-// rulesByName maps the wire model names (RuleSet.Name) back to rule
-// sets, node-side.
-func rulesByName(name string) (core.RuleSet, bool) {
-	switch name {
-	case "x86", "":
-		return core.X86{}, true
-	case "arm":
-		return core.ARM{}, true
-	case "hops":
-		return core.HOPS{}, true
-	case "epoch":
-		return core.Epoch{}, true
-	}
-	return nil, false
 }

@@ -42,44 +42,52 @@ func fetchSnapshot(ctx context.Context, client *http.Client, node string) (obs.N
 // Collect polls every node's /obs/v1/snapshot concurrently and merges
 // the successful snapshots bucket-exactly. Nodes that are down, slow
 // past the per-node timeout, or speaking a different schema become
-// error rows after the merged sources and set Partial; they never fail
-// the pass — a fleet dashboard that dies when one node does is useless
-// exactly when it is needed. Collect only errors when nodes is empty.
+// error rows and set Partial; they never fail the pass — a fleet
+// dashboard that dies when one node does is useless exactly when it is
+// needed. The source rows, error rows included, follow the order of
+// nodes. Collect only errors when nodes is empty.
 func Collect(ctx context.Context, nodes []string, opt Options) (obs.MergedSnapshot, error) {
 	fetched, err := fanOut(ctx, nodes, opt, fetchSnapshot)
 	if err != nil {
 		return obs.MergedSnapshot{}, err
 	}
+	rows := make([]obs.SourceStatus, len(fetched))
 	var good []obs.NodeSnapshot
-	var failed []obs.SourceStatus
-	for _, r := range fetched {
+	var at []int // at[j] is the row of good[j]
+	for i, r := range fetched {
 		if r.err != nil {
-			failed = append(failed, obs.SourceStatus{Source: r.node, Err: r.err.Error()})
+			rows[i] = obs.SourceStatus{Source: r.node, Err: r.err.Error()}
 			continue
 		}
 		good = append(good, r.val)
+		at = append(at, i)
 	}
 	merged, err := obs.Merge(good...)
+	kept := at
 	if err != nil {
 		// Merge rejects a document fetchSnapshot accepted — a node
 		// stamping the right schema version while shipping foreign
 		// histogram buckets. Degrade node by node: keep the snapshots
 		// that merge cleanly, turn the rest into per-source errors.
-		accepted := good[:0:0]
-		for _, n := range good {
+		merged = obs.MergedSnapshot{SchemaVersion: obs.SnapshotSchemaVersion}
+		var accepted []obs.NodeSnapshot
+		kept = nil
+		for j, n := range good {
 			m2, err2 := obs.Merge(append(accepted, n)...)
 			if err2 != nil {
-				failed = append(failed, obs.SourceStatus{Source: n.Source, Err: err2.Error()})
+				rows[at[j]] = obs.SourceStatus{Source: n.Source, Err: err2.Error()}
 				continue
 			}
 			accepted = append(accepted, n)
+			kept = append(kept, at[j])
 			merged = m2
 		}
-		if len(accepted) == 0 {
-			merged = obs.MergedSnapshot{SchemaVersion: obs.SnapshotSchemaVersion}
-		}
 	}
-	merged.Sources = append(merged.Sources, failed...)
-	merged.Partial = len(failed) > 0
+	// Merge lists the accepted snapshots' rows in merge order.
+	for j, i := range kept {
+		rows[i] = merged.Sources[j]
+	}
+	merged.Sources = rows
+	merged.Partial = len(kept) < len(rows)
 	return merged, nil
 }

@@ -107,6 +107,44 @@ func TestCollectPartialFailure(t *testing.T) {
 	}
 }
 
+// TestCollectRowsFollowNodeOrder: every source row sits at its node's
+// position in the argument list, however live nodes interleave with
+// error rows: a node that is down, and one whose snapshot the merge
+// rejects (the right schema version, a histogram bucket outside the
+// fixed layout).
+func TestCollectRowsFollowNodeOrder(t *testing.T) {
+	alpha, beta := node(t, "alpha", 1), node(t, "beta", 2)
+	foreign := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		snap := obs.NodeSnapshot{SchemaVersion: obs.SnapshotSchemaVersion, Source: "foreign"}
+		snap.Metrics.TracesChecked = 100
+		snap.Metrics.QueueWait = obs.HistSnapshot{Count: 1, Buckets: []obs.HistBucket{{Le: 3, Count: 1}}}
+		json.NewEncoder(w).Encode(snap)
+	}))
+	defer foreign.Close()
+	down := httptest.NewServer(http.NotFoundHandler())
+	dead := down.URL
+	down.Close() // connection refused from here on
+	merged, err := Collect(context.Background(), []string{dead, alpha.URL, foreign.URL, beta.URL}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		source string
+		failed bool
+	}{{dead, true}, {"alpha", false}, {"foreign", true}, {"beta", false}}
+	if len(merged.Sources) != len(want) {
+		t.Fatalf("sources = %+v, want %d rows", merged.Sources, len(want))
+	}
+	for i, w := range want {
+		if s := merged.Sources[i]; s.Source != w.source || (s.Err != "") != w.failed {
+			t.Errorf("row %d = %+v, want source %q failed=%v", i, s, w.source, w.failed)
+		}
+	}
+	if !merged.Partial || merged.Metrics.TracesChecked != 3 {
+		t.Errorf("partial = %v, traces = %d; want true, 3", merged.Partial, merged.Metrics.TracesChecked)
+	}
+}
+
 func TestCollectSchemaMismatchIsPerNode(t *testing.T) {
 	good := node(t, "good", 3)
 	rogue := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -53,10 +53,10 @@ func localDump(sections [][]trace.Op) string {
 	return DumpReports(ReplaySections(eng, sections, 0))
 }
 
-func goldenCoordinator(t *testing.T, nodes []string) (*dist.Coordinator, *obs.Metrics) {
+func goldenSession(t *testing.T, sid string, nodes []string) (*dist.Session, *obs.Metrics) {
 	t.Helper()
 	m := obs.NewMetrics(8)
-	c, err := dist.NewCoordinator(dist.Options{
+	s, err := dist.Open(sid, core.X86{}, dist.Options{
 		Nodes:      nodes,
 		RPCTimeout: 2 * time.Second,
 		Attempts:   2,
@@ -66,8 +66,7 @@ func goldenCoordinator(t *testing.T, nodes []string) (*dist.Coordinator, *obs.Me
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
-	return c, m
+	return s, m
 }
 
 // TestRemoteGoldenEquivalence: a workload checked through the
@@ -79,8 +78,8 @@ func TestRemoteGoldenEquivalence(t *testing.T) {
 		want := localDump(sections)
 
 		addr, _ := startDistNode(t)
-		c, m := goldenCoordinator(t, []string{addr})
-		got := DumpReports(ReplaySections(c.OpenSession("golden-"+store, core.X86{}), sections, 0))
+		s, m := goldenSession(t, "golden-"+store, []string{addr})
+		got := DumpReports(ReplaySections(s, sections, 0))
 
 		if got != want {
 			t.Errorf("%s: remote run diverged from local:\nlocal:\n%s\nremote:\n%s", store, want, got)
@@ -103,9 +102,7 @@ func TestRemoteGoldenFailover(t *testing.T) {
 
 	addrA, srvA := startDistNode(t)
 	addrB, srvB := startDistNode(t)
-	c, m := goldenCoordinator(t, []string{addrA, addrB})
-
-	s := c.OpenSession("golden-failover", core.X86{})
+	s, m := goldenSession(t, "golden-failover", []string{addrA, addrB})
 	half := len(sections) / 2
 	for _, ops := range sections[:half] {
 		s.Submit(&trace.Trace{Ops: append([]trace.Op(nil), ops...)})

@@ -178,9 +178,13 @@ func runDist(b Budget, res *Result, logf func(string, ...any)) error {
 			s.Submit(&trace.Trace{Ops: ops})
 		}
 	}
-	opts := func(m *obs.Metrics, nodes ...string) dist.Options {
-		return dist.Options{Nodes: nodes, Metrics: m,
-			Backoff: dist.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}}
+	open := func(sid string, m *obs.Metrics, nodes ...string) *dist.Session {
+		sess, err := dist.Open(sid, core.X86{}, dist.Options{Nodes: nodes, Metrics: m,
+			Backoff: dist.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}})
+		if err != nil {
+			panic(err) // Open only fails without nodes
+		}
+		return sess
 	}
 
 	// Healthy: one node absorbs the whole stream.
@@ -189,14 +193,9 @@ func runDist(b Budget, res *Result, logf func(string, ...any)) error {
 		return fmt.Errorf("dist: %w", err)
 	}
 	m := obs.NewMetrics(0)
-	c, err := dist.NewCoordinator(opts(m, addr))
-	if err != nil {
-		shutdown()
-		return fmt.Errorf("dist: %w", err)
-	}
 	var elapsed time.Duration
 	measure(1, func() {
-		sess := c.OpenSession("pmbench-healthy", core.X86{})
+		sess := open("pmbench-healthy", m, addr)
 		start := time.Now()
 		stream(sess, sections)
 		reports := sess.Close()
@@ -205,7 +204,6 @@ func runDist(b Budget, res *Result, logf func(string, ...any)) error {
 			panic(fmt.Sprintf("dist healthy: %d reports for %d sections", len(reports), len(sections)))
 		}
 	})
-	c.Close()
 	shutdown()
 	snap := m.Snapshot()
 	res.add(Metric{Name: "dist/healthy_sections_per_sec",
@@ -228,16 +226,10 @@ func runDist(b Budget, res *Result, logf func(string, ...any)) error {
 		return fmt.Errorf("dist: %w", err)
 	}
 	dm := obs.NewMetrics(0)
-	dc, err := dist.NewCoordinator(opts(dm, addrA, addrB))
-	if err != nil {
-		downA()
-		downB()
-		return fmt.Errorf("dist: %w", err)
-	}
 	cut := len(sections) / 4
 	var degElapsed time.Duration
 	measure(1, func() {
-		sess := dc.OpenSession("pmbench-degraded", core.X86{})
+		sess := open("pmbench-degraded", dm, addrA, addrB)
 		start := time.Now()
 		stream(sess, sections[:cut])
 		sess.Wait()
@@ -253,7 +245,6 @@ func runDist(b Budget, res *Result, logf func(string, ...any)) error {
 			panic(fmt.Sprintf("dist degraded: %d reports for %d sections", len(reports), len(sections)))
 		}
 	})
-	dc.Close()
 	downA()
 	downB()
 	dsnap := dm.Snapshot()

@@ -168,7 +168,10 @@ type Config struct {
 	Remote *RemoteConfig
 }
 
-// RemoteConfig selects and tunes the distributed checking tier.
+// RemoteConfig selects and tunes the distributed checking tier. The
+// session homes on one node by session-ID hash and keeps one circuit
+// breaker per node, fed by its own traffic alone; there is no background
+// health prober.
 type RemoteConfig struct {
 	// Nodes are the pmtestd node addresses (host:port). Sessions shard
 	// across them by session-id hash and fail over around the ring.
@@ -186,8 +189,6 @@ type RemoteConfig struct {
 	// DropOnOverflow drops sections instead of blocking at the buffer
 	// cap; drops are counted in Stats (dist_sections_dropped).
 	DropOnOverflow bool
-	// HealthInterval enables background node health probing (0 = off).
-	HealthInterval time.Duration
 	// DisableFallback turns off the local in-process check of sections
 	// no node accepts; such sections are then dropped with a deferred
 	// session error.
@@ -219,7 +220,6 @@ type Session struct {
 	id      uint64
 	sid     string // "pmtest-<id>": the correlation name (see SID)
 	engine  backend
-	coord   *dist.Coordinator // non-nil only for remote sessions
 	sharing *core.SharingAnalyzer
 	metrics *obs.Metrics // nil when observability is off
 	logger  *slog.Logger // nil when logging is off; carries the session ID
@@ -287,13 +287,12 @@ func Init(cfg Config) *Session {
 		vars:    make(map[string]Var),
 	}
 	if r := cfg.Remote; r != nil {
-		coord, err := dist.NewCoordinator(dist.Options{
+		remote, err := dist.Open(s.sid, cfg.Model, dist.Options{
 			Nodes:           r.Nodes,
 			RPCTimeout:      r.RPCTimeout,
 			Attempts:        r.Attempts,
 			BufferLimit:     r.BufferLimit,
 			DropOnOverflow:  r.DropOnOverflow,
-			HealthInterval:  r.HealthInterval,
 			DisableFallback: r.DisableFallback,
 			TrackOnly:       cfg.TrackOnly,
 			Excludes:        excludes,
@@ -310,8 +309,7 @@ func Init(cfg Config) *Session {
 				logger.Error("remote checking unavailable; using local engine", "err", err)
 			}
 		} else {
-			s.coord = coord
-			s.engine = coord.OpenSession(s.sid, cfg.Model)
+			s.engine = remote
 		}
 	}
 	if s.engine == nil {
@@ -378,9 +376,6 @@ func (s *Session) SID() string { return s.sid }
 // Err or from the Stats snapshot.
 func (s *Session) Exit() []Report {
 	reports := s.engine.Close()
-	if s.coord != nil {
-		s.coord.Close()
-	}
 	if s.logger != nil {
 		fails, warns := 0, 0
 		for _, r := range reports {

@@ -97,7 +97,7 @@ func TestRemoteConfigUnreachableDegrades(t *testing.T) {
 }
 
 // TestRemoteConfigInvalidFallsBackLocal: a Remote config that cannot
-// even build a coordinator (no nodes) falls back to the in-process
+// even open a remote session (no nodes) falls back to the in-process
 // engine and surfaces a deferred error instead of panicking or
 // silently dropping work.
 func TestRemoteConfigInvalidFallsBackLocal(t *testing.T) {
