@@ -11,7 +11,6 @@ package bugdb
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"pmtest/internal/core"
 	"pmtest/internal/mnemosyne"
@@ -106,10 +105,11 @@ func (b Bug) Detected(reports []core.Report) bool {
 
 const devSize = 1 << 24
 
-// checkObs, when set, receives a TraceChecked event for every section the
-// catalog checks. The catalog checks synchronously (no engine), so this
-// is its only observer seam; cmd/repro points it at the flight recorder
-// so Table 5/6 sweeps produce checker spans too.
+// checkObs, when set, observes every section the catalog checks, as an
+// engine's observer would. The catalog checks synchronously (no engine),
+// so this is its only observer seam; cmd/repro and cmd/bughunt point it
+// at their metrics registry and flight recorder, so Table 5/6 sweeps
+// count their traces and produce checker spans too.
 var checkObs obs.Observer
 
 // ObserveChecks installs (or, with nil, removes) the observer notified
@@ -117,16 +117,13 @@ var checkObs obs.Observer
 // runs are in flight.
 func ObserveChecks(o obs.Observer) { checkObs = o }
 
-// check validates one section and notifies the observer, if any. All
-// catalog run helpers funnel through it.
+// check validates one section through a core.Worker, so the observer, if
+// any, sees it submitted, dequeued and checked. All catalog run helpers
+// funnel through it.
 func check(ops []trace.Op) core.Report {
-	tr := &trace.Trace{Ops: append([]trace.Op(nil), ops...)}
-	start := time.Now()
-	rep := core.CheckTrace(core.X86{}, tr)
-	if checkObs != nil {
-		checkObs.TraceChecked(core.ReportEvent(tr, rep, 0, 0, time.Since(start)))
-	}
-	return rep
+	w := core.NewWorker(core.Options{Rules: core.X86{}, Observer: checkObs})
+	defer w.Close()
+	return w.Check(&trace.Trace{Ops: append([]trace.Op(nil), ops...)})
 }
 
 // recorder buffers ops (one section at a time).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmtest/internal/core"
+	"pmtest/internal/obs"
 )
 
 // TestTable5Counts verifies the catalog matches the paper's Table 5
@@ -87,6 +88,23 @@ func TestAllBugsDetected(t *testing.T) {
 				t.Fatalf("performance bug produced no WARN")
 			}
 		})
+	}
+}
+
+// TestCatalogChecksReachObserver: the installed observer sees each
+// section a catalog run checks as an engine would show it, so a metrics
+// registry counts every one as submitted and as checked.
+func TestCatalogChecksReachObserver(t *testing.T) {
+	m := obs.NewMetrics(16)
+	ObserveChecks(m)
+	defer ObserveChecks(nil)
+	reports, err := Catalog()[0].Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.Snapshot()
+	if n := uint64(len(reports)); n == 0 || s.TracesSubmitted != n || s.TracesChecked != n {
+		t.Fatalf("%d reports: submitted %d, checked %d", len(reports), s.TracesSubmitted, s.TracesChecked)
 	}
 }
 

@@ -286,7 +286,7 @@ func (w *Worker) check(t *trace.Trace, enq time.Time) Report {
 		r, stats = w.checker.Check(t, w.opts.StaticExcludes)
 	}
 	if ob != nil {
-		ev := ReportEvent(t, r, w.id, start.Sub(enq), time.Since(start))
+		ev := reportEvent(t, r, w.id, start.Sub(enq), time.Since(start))
 		if stats.Sharded {
 			// The checker is Timed when there is an observer. Copy: it
 			// reuses the slice on its next trace, and the event
@@ -402,12 +402,12 @@ func logTrace(lg *slog.Logger, t *trace.Trace, r Report, worker int) {
 	lg.Log(context.Background(), level, msg, attrs...)
 }
 
-// ReportEvent builds the observer event for a checked trace: counters,
+// reportEvent builds the observer event for a checked trace: counters,
 // the section's span identity, and — only when the trace is not clean —
-// the detailed diagnostics, so the clean path allocates nothing. The
-// engine worker emits one per trace; synchronous checkers (bugdb, the
-// inline ablation) can build the same event for their own observers.
-func ReportEvent(t *trace.Trace, r Report, worker int, queueWait, checkDur time.Duration) obs.TraceEvent {
+// the detailed diagnostics, so the clean path allocates nothing. A
+// Worker emits one per trace it checks, inside an engine or called
+// directly.
+func reportEvent(t *trace.Trace, r Report, worker int, queueWait, checkDur time.Duration) obs.TraceEvent {
 	ev := obs.TraceEvent{
 		TraceID:    t.ID,
 		Thread:     t.Thread,

@@ -12,7 +12,6 @@ package flight
 
 import (
 	"testing"
-	"time"
 
 	"pmtest/internal/core"
 	"pmtest/internal/trace"
@@ -50,14 +49,15 @@ func TestSpanRecordAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestCheckedTraceAllocCeiling pins the full observed clean path: check
-// a 256-write section carrying span identity, build the observer event,
-// and emit the engine span through EngineObserver. The ceiling matches
-// the engine's own CheckTrace ceiling — the flight recorder must ride
-// along for free on clean traces.
+// TestCheckedTraceAllocCeiling pins the full observed clean path: a
+// core.Worker checks a 256-write section carrying span identity, builds
+// the observer event, and emits the engine span through EngineObserver.
+// The ceiling matches the engine's own CheckTrace ceiling — the flight
+// recorder must ride along for free on clean traces.
 func TestCheckedTraceAllocCeiling(t *testing.T) {
 	rec := NewRecorder(64)
-	ob := EngineObserver(rec)
+	w := core.NewWorker(core.Options{Rules: core.X86{}, Observer: EngineObserver(rec)})
+	defer w.Close()
 	tr := &trace.Trace{
 		Ops:     cleanSectionOps(256),
 		SpanID:  1,
@@ -65,11 +65,9 @@ func TestCheckedTraceAllocCeiling(t *testing.T) {
 	}
 	const ceiling = 64.0
 	allocs := testing.AllocsPerRun(100, func() {
-		rep := core.CheckTrace(core.X86{}, tr)
-		if !rep.Clean() {
+		if rep := w.Check(tr); !rep.Clean() {
 			t.Fatal("clean trace flagged")
 		}
-		ob.TraceChecked(core.ReportEvent(tr, rep, 0, time.Microsecond, time.Millisecond))
 	})
 	if allocs > ceiling {
 		t.Fatalf("checked trace with recorder: %.1f allocs/op, ceiling %v", allocs, ceiling)

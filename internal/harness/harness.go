@@ -100,14 +100,13 @@ func (t Tool) String() string {
 
 // MicroResult is one microbenchmark measurement.
 type MicroResult struct {
-	Store    string
-	TxSize   uint64
-	Inserts  int
-	Tool     Tool
-	Elapsed  time.Duration
-	Fails    int
-	Warns    int
-	TraceOps int
+	Store   string
+	TxSize  uint64
+	Inserts int
+	Tool    Tool
+	Elapsed time.Duration
+	Fails   int
+	Warns   int
 }
 
 // MicroStores lists the five Fig. 10 microbenchmarks in paper order.
@@ -165,11 +164,148 @@ func newStore(id string, dev *pmem.Device, txSize uint64, n int) (whisper.Store,
 	return nil, fmt.Errorf("harness: unknown store %q", id)
 }
 
-// MicroBench runs n insertions of txSize-byte values into the named store
-// under the given tool and returns the measurement. workers sets the
-// PMTest checking-thread count (Fig. 12b); <=0 means 1, the paper default.
-func MicroBench(store string, txSize uint64, n int, tool Tool, workers int) (MicroResult, error) {
-	res := MicroResult{Store: store, TxSize: txSize, Inserts: n, Tool: tool}
+// run attaches one tool to a workload's program threads and times the
+// workload under it. Every driver builds thread i's PM device on
+// sinks[i], hooks cut(i) where thread i's sections end, calls track
+// where tracking starts and brackets its timed loop with begin and end,
+// so each tool is attached, cut and timed in one place.
+type run struct {
+	tool Tool
+	// checkers is true under the PMTest variants: the workload emits the
+	// paper's checkers and annotations.
+	checkers bool
+	// sinks[i] is program thread i's trace sink; nil under ToolNone.
+	sinks   []trace.Sink
+	sess    *pmtest.Session
+	threads []*pmtest.Thread
+	pmcheck []*pmemcheck.Checker
+	inline  []*inlineChecker
+	start   time.Time
+}
+
+// newRun attaches tool to threads program threads: the PMTest session
+// tools share one session with workers checking goroutines and a Thread
+// per program thread, pmemcheck and the inline ablation get a checker
+// per thread, and ToolNone attaches nothing. Defer close.
+func newRun(tool Tool, threads, workers int) *run {
+	r := &run{tool: tool, checkers: tool != ToolNone && tool != ToolPmemcheck,
+		sinks: make([]trace.Sink, threads)}
+	switch tool {
+	case ToolPMTest, ToolPMTestTrack, ToolPMTestMonolithic:
+		r.sess = pmtest.Init(pmtest.Config{
+			Workers:   workers,
+			TrackOnly: tool == ToolPMTestTrack,
+			Metrics:   metrics,
+			Flight:    flightRec,
+			Logger:    logger,
+		})
+	}
+	for i := range r.sinks {
+		switch {
+		case r.sess != nil:
+			th := r.sess.ThreadInit()
+			r.threads, r.sinks[i] = append(r.threads, th), th
+		case tool == ToolPmemcheck:
+			c := pmemcheck.New()
+			r.pmcheck, r.sinks[i] = append(r.pmcheck, c), c
+		case tool == ToolPMTestInline:
+			c := &inlineChecker{}
+			r.inline, r.sinks[i] = append(r.inline, c), c
+		}
+	}
+	return r
+}
+
+// cut returns what ends program thread i's section: ship it to the
+// session (PMTest_SEND_TRACE) or check it inline. It is nil for the tools
+// that cut no sections: none, pmemcheck, and the monolithic ablation,
+// whose one section per thread end ships.
+func (r *run) cut(i int) func() {
+	switch {
+	case r.inline != nil:
+		return r.inline[i].check
+	case r.sess != nil && r.tool != ToolPMTestMonolithic:
+		return r.threads[i].SendTrace
+	}
+	return nil
+}
+
+// track starts tracking on every program thread (PMTest_START); an
+// inline checker drops what it recorded before. Microbenchmarks call it
+// once the store is built, real workloads before their setup, so the
+// setup lands in each thread's first section.
+func (r *run) track() {
+	for _, th := range r.threads {
+		th.Start()
+	}
+	for _, c := range r.inline {
+		c.ops = c.ops[:0]
+	}
+}
+
+// begin starts the clock.
+func (r *run) begin() { r.start = time.Now() }
+
+// end stops the clock once the tool's work is done (after GetResult for
+// the PMTest session tools, after Finish for pmemcheck, at once
+// otherwise) and returns the elapsed time and the FAIL and WARN tallies;
+// pmemcheck's findings count as WARNs. The monolithic ablation ships each
+// thread's one section first.
+func (r *run) end() (elapsed time.Duration, fails, warns int) {
+	var reports []pmtest.Report
+	switch {
+	case r.sess != nil:
+		if r.tool == ToolPMTestMonolithic {
+			for _, th := range r.threads {
+				th.SendTrace()
+			}
+		}
+		reports = r.sess.GetResult() // PMTest_GET_RESULT
+	case r.pmcheck != nil:
+		for _, c := range r.pmcheck {
+			warns += len(c.Finish())
+		}
+	}
+	elapsed = time.Since(r.start)
+	for _, rep := range reports {
+		fails += rep.Fails()
+		warns += rep.Warns()
+	}
+	for _, c := range r.inline {
+		fails += c.fails
+		warns += c.warns
+	}
+	return elapsed, fails, warns
+}
+
+// close ends the session, if any (PMTest_EXIT), on every return path.
+func (r *run) close() {
+	if r.sess != nil {
+		r.sess.Exit()
+	}
+}
+
+// inlineChecker is one program thread's sink under the inline ablation:
+// it checks each section synchronously on the thread that cut it (no
+// master/worker decoupling, §3.2 / Fig. 8) and keeps its own tallies.
+type inlineChecker struct {
+	opsRecorder
+	fails, warns int
+}
+
+func (c *inlineChecker) check() {
+	if len(c.ops) == 0 {
+		return
+	}
+	rep := core.CheckTrace(core.X86{}, &trace.Trace{Ops: c.ops})
+	c.fails += rep.Fails()
+	c.warns += rep.Warns()
+	c.ops = c.ops[:0]
+}
+
+// microDraw is the seed-42 draw of MicroBench and RecordMicroSections:
+// n keys and one txSize-byte value.
+func microDraw(n int, txSize uint64) ([]uint64, []byte) {
 	rng := rand.New(rand.NewSource(42))
 	keys := make([]uint64, n)
 	for i := range keys {
@@ -177,127 +313,36 @@ func MicroBench(store string, txSize uint64, n int, tool Tool, workers int) (Mic
 	}
 	val := make([]byte, txSize)
 	rng.Read(val)
+	return keys, val
+}
 
-	devSize := deviceSize(n, txSize)
-	switch tool {
-	case ToolNone:
-		dev := pmem.New(devSize, nil)
-		s, err := newStore(store, dev, txSize, n)
-		if err != nil {
+// MicroBench runs n insertions of txSize-byte values into the named store
+// under the given tool and returns the measurement. workers sets the
+// PMTest checking-thread count (Fig. 12b); <=0 means 1, the paper default.
+func MicroBench(store string, txSize uint64, n int, tool Tool, workers int) (MicroResult, error) {
+	res := MicroResult{Store: store, TxSize: txSize, Inserts: n, Tool: tool}
+	keys, val := microDraw(n, txSize)
+	r := newRun(tool, 1, workers)
+	defer r.close()
+	s, err := newStore(store, pmem.New(deviceSize(n, txSize), r.sinks[0]), txSize, n)
+	if err != nil {
+		return res, err
+	}
+	if c, ok := s.(whisper.Checkered); ok {
+		c.SetCheckers(r.checkers)
+	}
+	cut := r.cut(0)
+	r.track()
+	r.begin()
+	for _, k := range keys {
+		if err := s.Insert(k, val); err != nil {
 			return res, err
 		}
-		start := time.Now()
-		for _, k := range keys {
-			if err := s.Insert(k, val); err != nil {
-				return res, err
-			}
-		}
-		res.Elapsed = time.Since(start)
-
-	case ToolPMTest, ToolPMTestTrack:
-		sess := pmtest.Init(pmtest.Config{
-			Workers:   workers,
-			TrackOnly: tool == ToolPMTestTrack,
-			Metrics:   metrics,
-			Flight:    flightRec,
-			Logger:    logger,
-		})
-		th := sess.ThreadInit()
-		dev := pmem.New(devSize, th)
-		s, err := newStore(store, dev, txSize, n)
-		if err != nil {
-			return res, err
-		}
-		if c, ok := s.(whisper.Checkered); ok {
-			c.SetCheckers(true)
-		}
-		th.Start()
-		start := time.Now()
-		for _, k := range keys {
-			if err := s.Insert(k, val); err != nil {
-				return res, err
-			}
-			th.SendTrace() // one section per transaction (§4.2)
-		}
-		reports := sess.GetResult() // PMTest_GET_RESULT
-		res.Elapsed = time.Since(start)
-		sess.Exit()
-		for _, r := range reports {
-			res.Fails += r.Fails()
-			res.Warns += r.Warns()
-		}
-
-	case ToolPmemcheck:
-		chk := pmemcheck.New()
-		dev := pmem.New(devSize, chk)
-		s, err := newStore(store, dev, txSize, n)
-		if err != nil {
-			return res, err
-		}
-		start := time.Now()
-		for _, k := range keys {
-			if err := s.Insert(k, val); err != nil {
-				return res, err
-			}
-		}
-		issues := chk.Finish()
-		res.Elapsed = time.Since(start)
-		res.Warns = len(issues)
-
-	case ToolPMTestInline:
-		// Ablation: same rules, same sections, but validated synchronously
-		// on the program thread (no master/worker decoupling).
-		rec := &opsRecorder{}
-		dev := pmem.New(devSize, rec)
-		s, err := newStore(store, dev, txSize, n)
-		if err != nil {
-			return res, err
-		}
-		if c, ok := s.(whisper.Checkered); ok {
-			c.SetCheckers(true)
-		}
-		start := time.Now()
-		for _, k := range keys {
-			rec.ops = rec.ops[:0]
-			if err := s.Insert(k, val); err != nil {
-				return res, err
-			}
-			r := core.CheckTrace(core.X86{}, &trace.Trace{Ops: rec.ops})
-			res.Fails += r.Fails()
-			res.Warns += r.Warns()
-		}
-		res.Elapsed = time.Since(start)
-
-	case ToolPMTestMonolithic:
-		// Ablation: one giant trace section checked at the end. The
-		// shadow memory grows with the whole run and checking cannot
-		// overlap execution.
-		sess := pmtest.Init(pmtest.Config{Metrics: metrics, Flight: flightRec, Logger: logger})
-		th := sess.ThreadInit()
-		dev := pmem.New(devSize, th)
-		s, err := newStore(store, dev, txSize, n)
-		if err != nil {
-			return res, err
-		}
-		if c, ok := s.(whisper.Checkered); ok {
-			c.SetCheckers(true)
-		}
-		th.Start()
-		start := time.Now()
-		for _, k := range keys {
-			if err := s.Insert(k, val); err != nil {
-				return res, err
-			}
-		}
-		th.SendTrace()
-		reports := sess.GetResult()
-		res.Elapsed = time.Since(start)
-		sess.Exit()
-		for _, r := range reports {
-			res.Fails += r.Fails()
-			res.Warns += r.Warns()
+		if cut != nil {
+			cut() // one section per transaction (§4.2)
 		}
 	}
+	res.Elapsed, res.Fails, res.Warns = r.end()
 	return res, nil
 }
 
@@ -344,50 +389,24 @@ func RealBench(workload string, nOps int, tool Tool) (RealResult, error) {
 // server shards = concurrent clients (Fig. 12 uses threads/workers > 1).
 func memcachedBench(name string, ops []whisper.KVOp, threads, workers int, tool Tool) (RealResult, error) {
 	res := RealResult{Workload: name, Tool: tool}
-	var sess *pmtest.Session
-	var checkers []trace.Sink
-	var threadsTrk []*pmtest.Thread
-	switch tool {
-	case ToolPMTest, ToolPMTestTrack:
-		sess = pmtest.Init(pmtest.Config{
-			Workers:   workers,
-			TrackOnly: tool == ToolPMTestTrack,
-			Metrics:   metrics,
-			Flight:    flightRec,
-			Logger:    logger,
-		})
-		for i := 0; i < threads; i++ {
-			th := sess.ThreadInit()
-			th.Start()
-			threadsTrk = append(threadsTrk, th)
-			checkers = append(checkers, th)
-		}
-	case ToolPmemcheck:
-		for i := 0; i < threads; i++ {
-			checkers = append(checkers, pmemcheck.New())
-		}
-	default:
-		checkers = make([]trace.Sink, threads)
-	}
-
+	r := newRun(tool, threads, workers)
+	defer r.close()
+	r.track()
 	devs := make([]*pmem.Device, threads)
 	for i := range devs {
-		devs[i] = pmem.New(whisper.MemcachedShardSpace(1<<14, 256), checkers[i])
+		devs[i] = pmem.New(whisper.MemcachedShardSpace(1<<14, 256), r.sinks[i])
 	}
 	m, err := whisper.NewMemcached(devs, 1<<14, 256)
 	if err != nil {
 		return res, err
 	}
-	if tool == ToolPMTest || tool == ToolPMTestTrack {
-		m.SetCheckers(tool == ToolPMTest)
-		for i := 0; i < threads; i++ {
-			th := threadsTrk[i]
-			m.SetSectionHook(i, th.SendTrace)
-		}
+	m.SetCheckers(r.checkers)
+	for i := range devs {
+		m.SetSectionHook(i, r.cut(i))
 	}
 
 	// Partition ops across client goroutines (one per server thread).
-	start := time.Now()
+	r.begin()
 	var wg sync.WaitGroup
 	chunk := (len(ops) + threads - 1) / threads
 	var firstErr error
@@ -417,120 +436,53 @@ func memcachedBench(name string, ops []whisper.KVOp, threads, workers int, tool 
 	if firstErr != nil {
 		return res, firstErr
 	}
-	if sess != nil {
-		reports := sess.GetResult()
-		res.Elapsed = time.Since(start)
-		sess.Exit()
-		for _, r := range reports {
-			res.Fails += r.Fails()
-			res.Warns += r.Warns()
-		}
-	} else {
-		res.Elapsed = time.Since(start)
-	}
+	res.Elapsed, res.Fails, res.Warns = r.end()
 	return res, nil
 }
 
 func redisBench(nOps int, tool Tool) (RealResult, error) {
 	res := RealResult{Workload: "redis+lru", Tool: tool}
 	ops := whisper.LRUOps(nOps, uint64(nOps), 128, 7)
-	devSize := deviceSize(nOps, 128)
-
-	var sink trace.Sink
-	var sess *pmtest.Session
-	var th *pmtest.Thread
-	var chk *pmemcheck.Checker
-	switch tool {
-	case ToolPMTest, ToolPMTestTrack:
-		sess = pmtest.Init(pmtest.Config{TrackOnly: tool == ToolPMTestTrack, Metrics: metrics, Flight: flightRec, Logger: logger})
-		th = sess.ThreadInit()
-		th.Start()
-		sink = th
-	case ToolPmemcheck:
-		chk = pmemcheck.New()
-		sink = chk
-	}
-	r, err := whisper.NewRedis(pmem.New(devSize, sink), 1<<14, nOps/2+1)
+	r := newRun(tool, 1, 1)
+	defer r.close()
+	r.track()
+	db, err := whisper.NewRedis(pmem.New(deviceSize(nOps, 128), r.sinks[0]), 1<<14, nOps/2+1)
 	if err != nil {
 		return res, err
 	}
-	if tool == ToolPMTest {
-		r.SetCheckers(true)
-	}
-	set := r.Set
-	if th != nil {
+	db.SetCheckers(r.checkers)
+	set := db.Set
+	if cut := r.cut(0); cut != nil {
 		set = func(k uint64, v []byte) error {
-			err := r.Set(k, v)
-			th.SendTrace()
+			err := db.Set(k, v)
+			cut()
 			return err
 		}
 	}
-	start := time.Now()
-	if err := whisper.RunKV(set, r.Get, ops, 7); err != nil {
+	r.begin()
+	if err := whisper.RunKV(set, db.Get, ops, 7); err != nil {
 		return res, err
 	}
-	if sess != nil {
-		reports := sess.GetResult()
-		res.Elapsed = time.Since(start)
-		sess.Exit()
-		for _, rep := range reports {
-			res.Fails += rep.Fails()
-			res.Warns += rep.Warns()
-		}
-	} else {
-		if chk != nil {
-			res.Warns = len(chk.Finish())
-		}
-		res.Elapsed = time.Since(start)
-	}
+	res.Elapsed, res.Fails, res.Warns = r.end()
 	return res, nil
 }
 
 func pmfsBench(name string, ops []whisper.FSOp, tool Tool) (RealResult, error) {
 	res := RealResult{Workload: name, Tool: tool}
-	var sink trace.Sink
-	var sess *pmtest.Session
-	var th *pmtest.Thread
-	var chk *pmemcheck.Checker
-	switch tool {
-	case ToolPMTest, ToolPMTestTrack:
-		sess = pmtest.Init(pmtest.Config{TrackOnly: tool == ToolPMTestTrack, Metrics: metrics, Flight: flightRec, Logger: logger})
-		th = sess.ThreadInit()
-		th.Start()
-		sink = th
-	case ToolPmemcheck:
-		chk = pmemcheck.New()
-		sink = chk
-	}
-	dev := pmem.New(1<<26, sink)
-	fs, err := pmfs.Mkfs(dev, 256, 512)
+	r := newRun(tool, 1, 1)
+	defer r.close()
+	r.track()
+	fs, err := pmfs.Mkfs(pmem.New(1<<26, r.sinks[0]), 256, 512)
 	if err != nil {
 		return res, err
 	}
-	if tool == ToolPMTest {
-		fs.SetAnnotations(true)
-	}
-	if th != nil {
-		fs.SetSectionHook(th.SendTrace)
-	}
-	start := time.Now()
+	fs.SetAnnotations(r.checkers)
+	fs.SetSectionHook(r.cut(0))
+	r.begin()
 	if err := whisper.RunFS(fs, ops, 7); err != nil {
 		return res, err
 	}
-	if sess != nil {
-		reports := sess.GetResult()
-		res.Elapsed = time.Since(start)
-		sess.Exit()
-		for _, r := range reports {
-			res.Fails += r.Fails()
-			res.Warns += r.Warns()
-		}
-	} else {
-		if chk != nil {
-			res.Warns = len(chk.Finish())
-		}
-		res.Elapsed = time.Since(start)
-	}
+	res.Elapsed, res.Fails, res.Warns = r.end()
 	return res, nil
 }
 
@@ -623,13 +575,7 @@ func RecordMicroSections(store string, txSize uint64, n int) ([][]trace.Op, erro
 	if c, ok := s.(whisper.Checkered); ok {
 		c.SetCheckers(true)
 	}
-	rng := rand.New(rand.NewSource(42))
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = rng.Uint64() >> 16
-	}
-	val := make([]byte, txSize)
-	rng.Read(val)
+	keys, val := microDraw(n, txSize)
 	sections := make([][]trace.Op, 0, n)
 	for _, k := range keys {
 		rec.ops = nil

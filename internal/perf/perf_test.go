@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func baseResult() *Result {
@@ -156,6 +157,33 @@ func TestMeasureCountsAllocs(t *testing.T) {
 	}
 	if s.NsPerOp <= 0 {
 		t.Errorf("NsPerOp = %v, want > 0", s.NsPerOp)
+	}
+}
+
+// TestNearestRank pins the search-fanout percentiles: ranks round up,
+// so with 101 queries p50 is the 51st and p99 the 100th, not the slowest.
+func TestNearestRank(t *testing.T) {
+	one := []time.Duration{7}
+	if got := nearestRank(one, 50); got != 7 {
+		t.Errorf("1 value: p50 = %v, want 7", got)
+	}
+	if got := nearestRank(one, 99); got != 7 {
+		t.Errorf("1 value: p99 = %v, want 7", got)
+	}
+	var durs []time.Duration
+	for i := 1; i <= 101; i++ {
+		durs = append(durs, time.Duration(i))
+	}
+	for _, c := range []struct {
+		p    int
+		want time.Duration
+	}{{1, 2}, {50, 51}, {99, 100}, {100, 101}} {
+		if got := nearestRank(durs, c.p); got != c.want {
+			t.Errorf("101 values: p%d = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if got := nearestRank(durs[:100], 99); got != 99 {
+		t.Errorf("100 values: p99 = %v, want 99", got)
 	}
 }
 
