@@ -223,9 +223,9 @@ func stream(args []string) {
 	}
 	fmt.Printf("streamed %d sections (%s): %d reports, %d fails, %d warns\n",
 		len(recorded), routeName(*nodes), len(reports), fails, warns)
-	fmt.Printf("dist: sent=%d retries=%d failovers=%d breaker_opens=%d fallbacks=%d dropped=%d buffered_peak=%d\n",
+	fmt.Printf("dist: sent=%d retries=%d failovers=%d breaker_opens=%d fallbacks=%d buffered_peak=%d\n",
 		snap.DistSectionsSent, snap.DistRetries, snap.DistFailovers,
-		snap.DistBreakerOpens, snap.DistFallbacks, snap.DistSectionsDropped, snap.DistBufferedPeak)
+		snap.DistBreakerOpens, snap.DistFallbacks, snap.DistBufferedPeak)
 	if err := sess.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "deferred session error:", err)
 	}

@@ -205,9 +205,9 @@ func render(m obs.MergedSnapshot, up, total int) string {
 			100*r.StatePoolHitRate, r.StatePoolGets, r.ShadowIntervalsLive, r.ShadowIntervalsMax)
 	}
 	if s.DistSectionsSent > 0 || s.DistRetries > 0 || s.DistFailovers > 0 || s.DistFallbacks > 0 {
-		fmt.Fprintf(&b, "dist     %d sections sent, %d retries, %d failovers, %d fallbacks, %d dropped, rtt p50 %v p99 %v\n",
+		fmt.Fprintf(&b, "dist     %d sections sent, %d retries, %d failovers, %d fallbacks, rtt p50 %v p99 %v\n",
 			s.DistSectionsSent, s.DistRetries, s.DistFailovers, s.DistFallbacks,
-			s.DistSectionsDropped, s.DistRTT.P50, s.DistRTT.P99)
+			s.DistRTT.P50, s.DistRTT.P99)
 	}
 
 	fmt.Fprintf(&b, "\n%-28s %-9s %-10s %12s %10s %8s %10s  %s\n",

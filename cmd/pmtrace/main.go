@@ -274,12 +274,8 @@ func fig4() []trace.Op {
 	}
 }
 
-type recorder struct{ ops []trace.Op }
-
-func (r *recorder) Record(op trace.Op, _ int) { r.ops = append(r.ops, op) }
-
 func storeTrace(name string) []trace.Op {
-	rec := &recorder{}
+	rec := &trace.Recorder{}
 	dev := pmem.New(1<<24, rec)
 	var s whisper.Store
 	var err error
@@ -301,12 +297,12 @@ func storeTrace(name string) []trace.Op {
 			os.Exit(1)
 		}
 		e.SetCheckers(true)
-		rec.ops = rec.ops[:0]
+		rec.Ops = rec.Ops[:0]
 		if err2 := e.Set(42, []byte("hello persistent world")); err2 != nil {
 			fmt.Fprintln(os.Stderr, "pmtrace:", err2)
 			os.Exit(1)
 		}
-		return rec.ops
+		return rec.Ops
 	case "vacation":
 		v, err2 := whisper.NewVacation(dev, 16, 8, 4)
 		if err2 != nil {
@@ -314,12 +310,12 @@ func storeTrace(name string) []trace.Op {
 			os.Exit(1)
 		}
 		v.SetCheckers(true)
-		rec.ops = rec.ops[:0]
+		rec.Ops = rec.Ops[:0]
 		if err2 := v.MakeReservation(1, 0, 2); err2 != nil {
 			fmt.Fprintln(os.Stderr, "pmtrace:", err2)
 			os.Exit(1)
 		}
-		return rec.ops
+		return rec.Ops
 	default:
 		fmt.Fprintf(os.Stderr, "pmtrace: unknown store %q\n", name)
 		os.Exit(1)
@@ -331,12 +327,12 @@ func storeTrace(name string) []trace.Op {
 	if c, ok := s.(whisper.Checkered); ok {
 		c.SetCheckers(true)
 	}
-	rec.ops = rec.ops[:0]
+	rec.Ops = rec.Ops[:0]
 	if err := s.Insert(42, []byte("hello persistent world")); err != nil {
 		fmt.Fprintln(os.Stderr, "pmtrace:", err)
 		os.Exit(1)
 	}
-	return rec.ops
+	return rec.Ops
 }
 
 // dump walks the trace one op at a time, printing the op, any diagnostics

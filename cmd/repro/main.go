@@ -86,22 +86,17 @@ func main() {
 	// The bug catalog checks sections synchronously (no engine), so it has
 	// its own observer seam; point it at the same registry and recorder so
 	// the Table 5/6 sweeps count their traces and produce checker spans.
-	// A nil *obs.Metrics must not reach obs.Multi: it would become a
-	// non-nil Observer.
-	var catalogObs []obs.Observer
 	var metrics *obs.Metrics
 	if *flagStats || *flagObs != "" {
 		metrics = obs.NewMetrics(256)
 		harness.ObserveWith(metrics)
-		catalogObs = append(catalogObs, metrics)
 	}
 	var rec *flight.Recorder
 	if *flagFlight != "" || *flagObs != "" {
 		rec = flight.NewRecorder(1024)
 		harness.FlightWith(rec)
-		catalogObs = append(catalogObs, flight.EngineObserver(rec))
 	}
-	bugdb.ObserveChecks(obs.Multi(catalogObs...))
+	bugdb.ObserveChecks(obs.Multi(metrics, flight.EngineObserver(rec)))
 	var srv *obsserve.Server
 	if *flagObs != "" {
 		srv, err = obsserve.Start(obsserve.Config{

@@ -126,11 +126,6 @@ func check(ops []trace.Op) core.Report {
 	return w.Check(&trace.Trace{Ops: append([]trace.Op(nil), ops...)})
 }
 
-// recorder buffers ops (one section at a time).
-type recorder struct{ ops []trace.Op }
-
-func (r *recorder) Record(op trace.Op, _ int) { r.ops = append(r.ops, op) }
-
 // keyPattern generates the key for insert i, shaping which code paths
 // (fresh insert, update, split, rotation) the run exercises.
 type keyPattern func(i int) uint64
@@ -151,7 +146,7 @@ var (
 func runStore(mk func(dev *pmem.Device, bugs whisper.BugSet) (whisper.Store, error),
 	bugs whisper.BugSet, pool pmdk.Bugs, pattern keyPattern, n, valSize int) func() ([]core.Report, error) {
 	return func() ([]core.Report, error) {
-		rec := &recorder{}
+		rec := &trace.Recorder{}
 		s, err := mk(pmem.New(devSize, rec), bugs)
 		if err != nil {
 			return nil, err
@@ -165,11 +160,11 @@ func runStore(mk func(dev *pmem.Device, bugs whisper.BugSet) (whisper.Store, err
 		val := bytes.Repeat([]byte{0x5A}, valSize)
 		var reports []core.Report
 		for i := 0; i < n; i++ {
-			rec.ops = rec.ops[:0]
+			rec.Ops = rec.Ops[:0]
 			if err := s.Insert(pattern(i), val); err != nil {
 				return nil, fmt.Errorf("insert %d: %w", i, err)
 			}
-			reports = append(reports, check(rec.ops))
+			reports = append(reports, check(rec.Ops))
 		}
 		return reports, nil
 	}
@@ -190,7 +185,7 @@ func mkHMLL(d *pmem.Device, b whisper.BugSet) (whisper.Store, error) {
 // runRedis drives the Redis workload with pool-level bugs.
 func runRedis(pool pmdk.Bugs, n int) func() ([]core.Report, error) {
 	return func() ([]core.Report, error) {
-		rec := &recorder{}
+		rec := &trace.Recorder{}
 		r, err := whisper.NewRedis(pmem.New(devSize, rec), 256, 1<<30)
 		if err != nil {
 			return nil, err
@@ -200,11 +195,11 @@ func runRedis(pool pmdk.Bugs, n int) func() ([]core.Report, error) {
 		r.SetCheckers(true)
 		var reports []core.Report
 		for i := 0; i < n; i++ {
-			rec.ops = rec.ops[:0]
+			rec.Ops = rec.Ops[:0]
 			if err := r.Set(uint64(i)*3, []byte("redis-value")); err != nil {
 				return nil, err
 			}
-			reports = append(reports, check(rec.ops))
+			reports = append(reports, check(rec.Ops))
 		}
 		return reports, nil
 	}
@@ -213,7 +208,7 @@ func runRedis(pool pmdk.Bugs, n int) func() ([]core.Report, error) {
 // runMemcached drives one memcached shard with region-level bugs.
 func runMemcached(region mnemosyne.Bugs, n int) func() ([]core.Report, error) {
 	return func() ([]core.Report, error) {
-		rec := &recorder{}
+		rec := &trace.Recorder{}
 		devs := []*pmem.Device{pmem.New(whisper.MemcachedShardSpace(2048, 256), rec)}
 		m, err := whisper.NewMemcached(devs, 2048, 256)
 		if err != nil {
@@ -221,12 +216,12 @@ func runMemcached(region mnemosyne.Bugs, n int) func() ([]core.Report, error) {
 		}
 		m.Region(0).SetBugs(region)
 		m.SetCheckers(true)
-		rec.ops = rec.ops[:0]
+		rec.Ops = rec.Ops[:0]
 		var reports []core.Report
 		m.SetSectionHook(0, func() {
-			if len(rec.ops) > 0 {
-				reports = append(reports, check(rec.ops))
-				rec.ops = rec.ops[:0]
+			if len(rec.Ops) > 0 {
+				reports = append(reports, check(rec.Ops))
+				rec.Ops = rec.Ops[:0]
 			}
 		})
 		for i := 0; i < n; i++ {
@@ -241,19 +236,19 @@ func runMemcached(region mnemosyne.Bugs, n int) func() ([]core.Report, error) {
 // runPMFS drives the file system with FS-level bugs.
 func runPMFS(bugs pmfs.Bugs, ops func(fs *pmfs.FS) error) func() ([]core.Report, error) {
 	return func() ([]core.Report, error) {
-		rec := &recorder{}
+		rec := &trace.Recorder{}
 		fs, err := pmfs.Mkfs(pmem.New(devSize, rec), 64, 128)
 		if err != nil {
 			return nil, err
 		}
 		fs.SetBugs(bugs)
 		fs.SetAnnotations(true)
-		rec.ops = rec.ops[:0]
+		rec.Ops = rec.Ops[:0]
 		var reports []core.Report
 		fs.SetSectionHook(func() {
-			if len(rec.ops) > 0 {
-				reports = append(reports, check(rec.ops))
-				rec.ops = rec.ops[:0]
+			if len(rec.Ops) > 0 {
+				reports = append(reports, check(rec.Ops))
+				rec.Ops = rec.Ops[:0]
 			}
 		})
 		if err := ops(fs); err != nil {
@@ -266,7 +261,7 @@ func runPMFS(bugs pmfs.Bugs, ops func(fs *pmfs.FS) error) func() ([]core.Report,
 // runEcho drives the WAL key-value store with per-op checking.
 func runEcho(bugs whisper.BugSet, n int) func() ([]core.Report, error) {
 	return func() ([]core.Report, error) {
-		rec := &recorder{}
+		rec := &trace.Recorder{}
 		e, err := whisper.NewEcho(pmem.New(devSize, rec), 1<<20, bugs)
 		if err != nil {
 			return nil, err
@@ -274,11 +269,11 @@ func runEcho(bugs whisper.BugSet, n int) func() ([]core.Report, error) {
 		e.SetCheckers(true)
 		var reports []core.Report
 		for i := 0; i < n; i++ {
-			rec.ops = rec.ops[:0]
+			rec.Ops = rec.Ops[:0]
 			if err := e.Set(uint64(i), []byte("echo-value")); err != nil {
 				return nil, err
 			}
-			reports = append(reports, check(rec.ops))
+			reports = append(reports, check(rec.Ops))
 		}
 		return reports, nil
 	}

@@ -182,9 +182,6 @@ type Options struct {
 	// tracking. Used to separate framework overhead from checking
 	// overhead (Fig. 10b).
 	TrackOnly bool
-	// QueueDepth bounds each worker's task queue; Submit blocks when the
-	// queue is full, applying back-pressure like the paper's kernel FIFO.
-	QueueDepth int
 	// StaticExcludes are ranges excluded from checking in every trace.
 	StaticExcludes []Range
 	// Check configures each worker's Checker: its address stripes and
@@ -203,6 +200,11 @@ type Options struct {
 	// trace). Records carry trace_id/span_id/worker, correlating log
 	// lines with flight spans.
 	Logger *slog.Logger
+
+	// queueDepth bounds each worker's task queue (default 64; tests set
+	// it smaller). Submit blocks when the queue is full, applying
+	// back-pressure like the paper's kernel FIFO.
+	queueDepth int
 }
 
 func (o Options) withDefaults() Options {
@@ -212,8 +214,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
+	if o.queueDepth <= 0 {
+		o.queueDepth = 64
 	}
 	o.Check = o.Check.withDefaults()
 	return o
@@ -243,8 +245,7 @@ type Worker struct {
 }
 
 // NewWorker returns a Worker that checks like one worker of an engine
-// built from opts. Workers and QueueDepth do not apply. Close it when
-// done.
+// built from opts. Workers does not apply. Close it when done.
 func NewWorker(opts Options) *Worker { return newWorker(opts.withDefaults(), 0) }
 
 func newWorker(opts Options, id int) *Worker {
@@ -340,7 +341,7 @@ func NewEngine(opts Options) *Engine {
 	e.queues = make([]chan task, opts.Workers)
 	e.workers = make([]*Worker, opts.Workers)
 	for i := range e.queues {
-		q := make(chan task, opts.QueueDepth)
+		q := make(chan task, opts.queueDepth)
 		e.queues[i] = q
 		e.workers[i] = newWorker(opts, i)
 		e.done.Add(1)

@@ -87,7 +87,7 @@ func TestOverlappingWritesMergeIntervals(t *testing.T) {
 func TestEngineQueueBackpressure(t *testing.T) {
 	// A tiny queue forces Submit to block until workers drain; all traces
 	// must still be checked exactly once.
-	e := NewEngine(Options{Workers: 1, QueueDepth: 1})
+	e := NewEngine(Options{Workers: 1, queueDepth: 1})
 	const n = 200
 	for i := 0; i < n; i++ {
 		e.Submit(mk(write(0x10, 8), flush(0x10, 8), fence(), isPersist(0x10, 8)))

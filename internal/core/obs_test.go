@@ -92,7 +92,7 @@ func TestEngineObserverDiagCounts(t *testing.T) {
 // single-slot queue and verifies the stall is observed.
 func TestEngineBackpressureStall(t *testing.T) {
 	m := obs.NewMetrics(4)
-	e := NewEngine(Options{Workers: 1, QueueDepth: 1, Observer: m})
+	e := NewEngine(Options{Workers: 1, queueDepth: 1, Observer: m})
 	// Large traces keep the single worker busy long enough for the
 	// producer to overrun the one-slot queue.
 	ops := obsTxOps(2000)
@@ -146,7 +146,7 @@ func TestEngineNoObserverUnchanged(t *testing.T) {
 // vulnerable to "Add called concurrently with Wait" misuse; the engine
 // now serializes the counters under its mutex. Run under -race.
 func TestEngineConcurrentSubmitWait(t *testing.T) {
-	e := NewEngine(Options{Workers: 4, QueueDepth: 8})
+	e := NewEngine(Options{Workers: 4, queueDepth: 8})
 	ops := obsTxOps(16)
 	const producers = 4
 	const perProducer = 50

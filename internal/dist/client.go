@@ -210,19 +210,6 @@ type Options struct {
 	Attempts int
 	// Backoff shapes the retry delays (zero value = defaults).
 	Backoff Backoff
-	// BufferLimit caps the unacknowledged section bytes a session
-	// buffers (default 16MB). At the cap Submit blocks (backpressure)
-	// unless DropOnOverflow is set.
-	BufferLimit int64
-	// DropOnOverflow drops new sections (counted in
-	// dist_sections_dropped) instead of blocking when the buffer is
-	// full — for callers that must never stall the program under test.
-	DropOnOverflow bool
-	// DisableFallback turns off the last rung of the degradation
-	// ladder: with it set, a section that no node accepts is dropped
-	// (and the session carries a deferred error) instead of being
-	// checked by a local in-process engine.
-	DisableFallback bool
 	// TrackOnly and Excludes mirror the engine options of the session;
 	// the node and the local fallback both check under them.
 	TrackOnly bool
@@ -235,10 +222,17 @@ type Options struct {
 	// Logger receives retry/failover/fallback records. Optional.
 	Logger *slog.Logger
 
-	// Test hooks: injected clock and sleep. Nil means real time.
-	now   func() time.Time
-	sleep func(time.Duration)
+	// Test hooks: injected clock and sleep (nil means real time), and
+	// the buffer cap (0 means bufferCap).
+	now       func() time.Time
+	sleep     func(time.Duration)
+	bufferCap int64
 }
+
+// bufferCap caps the payload bytes of a session's unacknowledged
+// sections. At the cap Submit blocks (backpressure); a section larger
+// than the whole buffer is checked in-process instead.
+const bufferCap = 16 << 20
 
 // A node's circuit breaker opens after breakerThreshold consecutive
 // failures and refuses the node for breakerCooldown before admitting one
@@ -270,10 +264,13 @@ const window = 32
 const windowBytes = 64 << 10
 
 // pendingSection is one buffered, unacknowledged section: the wire
-// payload for delivery, the decoded trace for local fallback, and the
-// client section span ID (captured at Submit, since the trace may be
-// mutated concurrently) propagated for cross-node correlation. The
-// pump alone touches span and written.
+// payload for delivery, the trace for local fallback, and the client
+// section span ID (captured at Submit, since the trace may be mutated
+// concurrently) propagated for cross-node correlation. A nil payload
+// marks a section that did not encode or is larger than the whole
+// buffer: it enters only an empty buffer, so it is the head for as long
+// as it is pending, and it is never written. The pump alone touches
+// span and written.
 type pendingSection struct {
 	seq     uint64
 	payload []byte
@@ -297,9 +294,8 @@ type Session struct {
 	// opts.Nodes; only this session's traffic feeds them.
 	breakers []*breaker
 	// local checks a section in-process, exactly as an engine worker
-	// does: the ladder's last rung. Only the pump, or Submit's oversize
-	// path after the pump has drained, ever calls it, so it is never used
-	// concurrently.
+	// does: the ladder's last rung. Only the pump calls it, so it is
+	// never used concurrently.
 	local *core.Worker
 	sid   string
 	rules core.RuleSet
@@ -314,8 +310,8 @@ type Session struct {
 	pending      []*pendingSection
 	pendingBytes int64
 	nextSeq      uint64
-	// reports holds each section's report at index seq. A seq without
-	// one (dropped, or not yet acknowledged) has TraceID -1.
+	// reports holds the report of every resolved section in seq order:
+	// the pump appends each as it pops the head.
 	reports []core.Report
 	nodeIdx int
 	opened  bool
@@ -349,8 +345,8 @@ func Open(sid string, rules core.RuleSet, opts Options) (*Session, error) {
 	if opts.Attempts <= 0 {
 		opts.Attempts = 3
 	}
-	if opts.BufferLimit <= 0 {
-		opts.BufferLimit = 16 << 20
+	if opts.bufferCap <= 0 {
+		opts.bufferCap = bufferCap
 	}
 	if opts.now == nil {
 		opts.now = time.Now
@@ -397,73 +393,44 @@ func (s *Session) Node() string {
 	return s.opts.Nodes[s.nodeIdx]
 }
 
-// Submit buffers one section for remote checking. It blocks when the
-// unacknowledged buffer is at Options.BufferLimit (backpressure) unless
-// the session drops on overflow. Like core.Engine, Submit after
+// Submit buffers one section for remote checking, blocking while the
+// unacknowledged buffer is full (backpressure). The section takes its
+// seq when it enters the buffer, and t.ID becomes that seq, which is its
+// report's TraceID. A section that does not encode, or that is larger
+// than the whole buffer, enters only an empty buffer and is checked
+// in-process once the pump reaches it. Like core.Engine, Submit after
 // Close panics.
 func (s *Session) Submit(t *trace.Trace) {
+	// Encode outside the lock: a node numbers a section by its
+	// X-Pmtest-Seq header, never by the ID inside the payload.
 	var buf bytes.Buffer
+	encErr := trace.Encode(&buf, t)
+	p := &pendingSection{spanID: t.SpanID, tr: t}
+	if encErr == nil && int64(buf.Len()) <= s.opts.bufferCap {
+		p.payload = buf.Bytes()
+		p.crc = crc32.ChecksumIEEE(p.payload)
+	}
+	sz := int64(len(p.payload))
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		panic("dist: Submit after Close")
 	}
-	t.ID = int(s.nextSeq)
-	if err := trace.Encode(&buf, t); err != nil {
-		// Encoding only fails on a hostile in-memory trace; keep the
-		// session alive and surface it as a deferred error.
-		if s.err == nil {
-			s.err = fmt.Errorf("dist: encoding section %d: %w", s.nextSeq, err)
-		}
-		s.nextSeq++
-		s.mu.Unlock()
-		return
-	}
-	payload := buf.Bytes()
-	sz := int64(len(payload))
-	m := s.opts.Metrics
-	if sz > s.opts.BufferLimit {
-		// A section bigger than the whole buffer can never be enqueued
-		// within the cap. Preserve report order by draining the backlog,
-		// then either drop it or check it in-process.
-		seq := s.nextSeq
-		s.nextSeq++
-		if s.opts.DropOnOverflow {
-			s.mu.Unlock()
-			if m != nil {
-				m.DistSectionsDropped.Add(1)
-			}
-			return
-		}
-		for len(s.pending) > 0 {
-			s.cond.Wait()
-		}
-		s.setReport(seq, s.local.Check(t))
-		s.mu.Unlock()
-		if m != nil {
-			m.DistFallbacks.Add(1)
-		}
-		return
-	}
-	for s.pendingBytes+sz > s.opts.BufferLimit && len(s.pending) > 0 {
-		if s.opts.DropOnOverflow {
-			s.nextSeq++ // the seq is consumed so reports stay index-aligned
-			s.mu.Unlock()
-			if m != nil {
-				m.DistSectionsDropped.Add(1)
-			}
-			return
-		}
+	for len(s.pending) > 0 && (p.payload == nil || s.pendingBytes+sz > s.opts.bufferCap) {
 		s.cond.Wait()
 	}
-	p := &pendingSection{seq: s.nextSeq, payload: payload, crc: crc32.ChecksumIEEE(payload), spanID: t.SpanID, tr: t}
+	p.seq = s.nextSeq
 	s.nextSeq++
+	t.ID = int(p.seq)
+	if encErr != nil && s.err == nil {
+		s.err = fmt.Errorf("dist: encoding section %d: %w", p.seq, encErr)
+	}
 	s.pending = append(s.pending, p)
 	s.pendingBytes += sz
 	buffered := s.pendingBytes
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if m != nil {
+	if m := s.opts.Metrics; m != nil {
 		m.DistBufferedBytes.Add(sz)
 		m.DistBufferedPeak.SetMax(buffered)
 	}
@@ -478,25 +445,11 @@ func (s *Session) Wait() []core.Report {
 	for len(s.pending) > 0 {
 		s.cond.Wait()
 	}
-	out := make([]core.Report, 0, len(s.reports))
-	for _, r := range s.reports {
-		if r.TraceID >= 0 {
-			out = append(out, r)
-		}
-	}
-	return out
+	return append([]core.Report(nil), s.reports...)
 }
 
-// setReport stores seq's report; callers hold s.mu.
-func (s *Session) setReport(seq uint64, rep core.Report) {
-	for uint64(len(s.reports)) <= seq {
-		s.reports = append(s.reports, core.Report{TraceID: -1})
-	}
-	s.reports[seq] = rep
-}
-
-// Err returns the session's first deferred error (a refused section, a
-// dropped-with-fallback-disabled section, an encode failure), or nil.
+// Err returns the session's first deferred error (a section a node
+// refused, or one that did not encode), or nil.
 func (s *Session) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -554,12 +507,10 @@ func (s *Session) pump() {
 		p := s.pending[0]
 		s.mu.Unlock()
 
-		rep, ok := s.deliver(p)
+		rep := s.deliver(p)
 
 		s.mu.Lock()
-		if ok {
-			s.setReport(p.seq, rep)
-		}
+		s.reports = append(s.reports, rep)
 		// Clear the slot first: the backing array outlives the reslice
 		// and would keep the section's payload and trace reachable.
 		s.pending[0] = nil
@@ -575,9 +526,9 @@ func (s *Session) pump() {
 
 // deliver pushes the head section down the degradation ladder: the
 // current node with retries, then failover around the ring, then the
-// local fallback engine. It returns ok=false only when fallback is
-// disabled and no node accepted the section.
-func (s *Session) deliver(p *pendingSection) (core.Report, bool) {
+// local check. A section without a payload goes straight to the local
+// check.
+func (s *Session) deliver(p *pendingSection) core.Report {
 	span := s.rpcSpan(p)
 	finish := func(route string, err error) {
 		if span != nil {
@@ -593,7 +544,7 @@ func (s *Session) deliver(p *pendingSection) (core.Report, bool) {
 	// plus a full failover lap around the ring before degrading.
 	var lastErr error
 ring:
-	for step := 0; step < 2*len(s.opts.Nodes)+1; step++ {
+	for step := 0; p.payload != nil && step < 2*len(s.opts.Nodes)+1; step++ {
 		s.mu.Lock()
 		idx := s.nodeIdx
 		opened := s.opened
@@ -624,7 +575,7 @@ ring:
 				m.DistSectionsSent.Add(1)
 			}
 			finish("node:"+node, nil)
-			return rep, true
+			return rep
 		}
 		lastErr = err
 		switch classify(err) {
@@ -651,23 +602,15 @@ ring:
 		}
 	}
 
-	if !s.opts.DisableFallback {
-		if m := s.opts.Metrics; m != nil {
-			m.DistFallbacks.Add(1)
-		}
-		if s.opts.Logger != nil {
-			s.opts.Logger.Warn("dist degraded to local check", "session", s.sid,
-				"seq", p.seq, "err", lastErr)
-		}
-		finish("local-fallback", lastErr)
-		return s.local.Check(p.tr), true
-	}
-	s.setErr(fmt.Errorf("dist: section %d undeliverable, fallback disabled: %w", p.seq, lastErr))
 	if m := s.opts.Metrics; m != nil {
-		m.DistSectionsDropped.Add(1)
+		m.DistFallbacks.Add(1)
 	}
-	finish("dropped", lastErr)
-	return core.Report{}, false
+	if s.opts.Logger != nil {
+		s.opts.Logger.Warn("dist degraded to local check", "session", s.sid,
+			"seq", p.seq, "err", lastErr)
+	}
+	finish("local-fallback", lastErr)
+	return s.local.Check(p.tr)
 }
 
 // open (re-)establishes the remote session on node idx with the replay

@@ -139,6 +139,16 @@ func testTrace(i int) *trace.Trace {
 
 func ackReport(seq uint64) core.Report { return core.Report{TraceID: int(seq), Ops: 4, TrackedOps: 3} }
 
+// encodedSize returns the wire size of tr's payload.
+func encodedSize(t *testing.T, tr *trace.Trace) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	return int64(buf.Len())
+}
+
 // TestRetryThenSuccess: transient section failures retry with backoff
 // on the same node and the section is acked exactly once.
 func TestRetryThenSuccess(t *testing.T) {
@@ -371,46 +381,11 @@ func TestAllNodesDownDegradesToLocal(t *testing.T) {
 	}
 }
 
-// TestDisableFallbackDropsAndErrs: with fallback off, undeliverable
-// sections are dropped (counted) and surface a deferred error — but
-// Wait still returns instead of hanging.
-func TestDisableFallbackDropsAndErrs(t *testing.T) {
-	tr := &funcTransport{
-		openFn: func(node string, req OpenRequest) (OpenResponse, error) {
-			return OpenResponse{}, errors.New("down")
-		},
-		sectionFn: func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error) {
-			return core.Report{}, errors.New("down")
-		},
-	}
-	s, m, _ := testSession(t, "strict", []string{"a:1"}, tr, func(o *Options) { o.DisableFallback = true })
-	s.Submit(testTrace(0))
-	s.Submit(testTrace(1))
-	reports := s.Close()
-
-	if len(reports) != 0 {
-		t.Fatalf("got %d reports with fallback disabled and fleet down, want 0", len(reports))
-	}
-	if s.Err() == nil {
-		t.Fatal("dropped sections left no deferred error")
-	}
-	if snap := m.Snapshot(); snap.DistSectionsDropped != 2 {
-		t.Fatalf("dropped = %d, want 2", snap.DistSectionsDropped)
-	}
-}
-
 // TestBufferCapAndBackpressure: with the transport gated shut, the
 // unacknowledged buffer never exceeds its cap — Submit blocks — and
 // everything completes once the gate opens.
 func TestBufferCapAndBackpressure(t *testing.T) {
-	var sz int64
-	{
-		var buf bytes.Buffer
-		if err := trace.Encode(&buf, testTrace(0)); err != nil {
-			t.Fatal(err)
-		}
-		sz = int64(buf.Len())
-	}
+	sz := encodedSize(t, testTrace(0))
 	gate := make(chan struct{})
 	tr := &funcTransport{
 		sectionFn: func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error) {
@@ -419,7 +394,7 @@ func TestBufferCapAndBackpressure(t *testing.T) {
 		},
 	}
 	limit := 2*sz + sz/2 // room for two buffered sections
-	s, m, _ := testSession(t, "pressure", []string{"a:1"}, tr, func(o *Options) { o.BufferLimit = limit })
+	s, m, _ := testSession(t, "pressure", []string{"a:1"}, tr, func(o *Options) { o.bufferCap = limit })
 
 	const n = 6
 	done := make(chan struct{})
@@ -447,9 +422,6 @@ func TestBufferCapAndBackpressure(t *testing.T) {
 	}
 	if snap.DistBufferedBytes != 0 {
 		t.Fatalf("buffered bytes = %d after drain, want 0", snap.DistBufferedBytes)
-	}
-	if snap.DistSectionsDropped != 0 {
-		t.Fatalf("dropped = %d under backpressure mode, want 0", snap.DistSectionsDropped)
 	}
 }
 
@@ -491,51 +463,110 @@ func TestAckedSectionsReleased(t *testing.T) {
 	}
 }
 
-// TestDropOnOverflow: same gated transport, but overflow drops instead
-// of blocking; drops are counted and the cap still holds.
-func TestDropOnOverflow(t *testing.T) {
+// TestSubmitBlockedKeepsSeq: two submitters blocked on a full buffer
+// each take their seq only once the buffer admits them. Every node
+// refuses, so the local check reports each section under its trace's
+// ID, and the reports must still read 0, 1, 2 in order.
+func TestSubmitBlockedKeepsSeq(t *testing.T) {
 	gate := make(chan struct{})
 	tr := &funcTransport{
 		sectionFn: func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error) {
-			<-gate
+			if seq == 0 {
+				<-gate
+			}
+			return core.Report{}, &RPCError{Status: http.StatusBadRequest, Msg: "undecodable"}
+		},
+	}
+	sz := encodedSize(t, testTrace(0))
+	s, m, _ := testSession(t, "blocked", []string{"a:1"}, tr, func(o *Options) { o.bufferCap = sz + sz/2 })
+	s.Submit(testTrace(0))
+	var wg sync.WaitGroup
+	for i := 1; i <= 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Submit(testTrace(i))
+		}()
+	}
+	time.Sleep(50 * time.Millisecond) // both submitters block on the full buffer
+	close(gate)
+	wg.Wait()
+	reports := s.Close()
+
+	if len(reports) != 3 {
+		t.Fatalf("got %d reports, want 3", len(reports))
+	}
+	for i, r := range reports {
+		if r.TraceID != i || r.Ops != 4 {
+			t.Fatalf("report %d has TraceID %d (%+v)", i, r.TraceID, r)
+		}
+	}
+	if fb := m.Snapshot().DistFallbacks; fb != 3 {
+		t.Fatalf("fallbacks = %d, want 3", fb)
+	}
+}
+
+// TestOversizeSectionCheckedInOrder: a section larger than the whole
+// buffer is never written to a stream. The session checks it
+// in-process only after the section before it is resolved, and the
+// reports stay in seq order.
+func TestOversizeSectionCheckedInOrder(t *testing.T) {
+	gate := make(chan struct{})
+	tr := &funcTransport{
+		sectionFn: func(node, sid string, seq uint64, payload []byte, crc uint32) (core.Report, error) {
+			if seq == 0 {
+				<-gate
+			}
 			return ackReport(seq), nil
 		},
 	}
-	var sz int64
-	{
-		var buf bytes.Buffer
-		trace.Encode(&buf, testTrace(0))
-		sz = int64(buf.Len())
+	limit := 2 * encodedSize(t, testTrace(0))
+	s, m, _ := testSession(t, "oversize", []string{"a:1"}, tr, func(o *Options) { o.bufferCap = limit })
+	big := &trace.Trace{}
+	for i := 0; i < 3; i++ {
+		big.Ops = append(big.Ops, testTrace(i).Ops...)
 	}
-	limit := 2*sz + sz/2
-	s, m, _ := testSession(t, "overflow", []string{"a:1"}, tr, func(o *Options) {
-		o.BufferLimit = limit
-		o.DropOnOverflow = true
-	})
-	const n = 6
-	for i := 0; i < n; i++ {
-		s.Submit(testTrace(i)) // never blocks
+	if sz := encodedSize(t, big); sz <= limit {
+		t.Fatalf("oversize section encodes to %d bytes, within the %d cap", sz, limit)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Submit(testTrace(0))
+		s.Submit(big)
+		s.Submit(testTrace(2))
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if fb := m.Snapshot().DistFallbacks; fb != 0 {
+		t.Fatalf("oversize section checked before section 0 was resolved (fallbacks %d)", fb)
 	}
 	close(gate)
+	<-done
 	reports := s.Close()
 
+	if len(reports) != 3 {
+		t.Fatalf("got %d reports, want 3", len(reports))
+	}
+	for i, r := range reports {
+		if r.TraceID != i {
+			t.Fatalf("report %d has TraceID %d", i, r.TraceID)
+		}
+	}
+	if r := reports[1]; r.Ops != 12 || r.TrackedOps != 9 {
+		t.Fatalf("oversize report = %+v, want a real 12-op local check", r)
+	}
+	for i, seqs := range tr.streams() {
+		for _, seq := range seqs {
+			if seq == 1 {
+				t.Fatalf("stream %d carried the oversize section: %v", i, seqs)
+			}
+		}
+	}
 	snap := m.Snapshot()
-	if snap.DistSectionsDropped == 0 {
-		t.Fatal("no drops counted though the buffer overflowed")
+	if snap.DistFallbacks != 1 || snap.DistSectionsSent != 2 {
+		t.Fatalf("fallbacks=%d sent=%d, want 1/2", snap.DistFallbacks, snap.DistSectionsSent)
 	}
 	if snap.DistBufferedPeak > limit {
 		t.Fatalf("buffered peak %d exceeded the %d cap", snap.DistBufferedPeak, limit)
-	}
-	if len(reports)+int(snap.DistSectionsDropped) != n {
-		t.Fatalf("%d reports + %d drops != %d submits", len(reports), snap.DistSectionsDropped, n)
-	}
-	// Report IDs keep their submit-order seqs, so the surviving reports
-	// are still unambiguous despite the gaps.
-	seen := map[int]bool{}
-	for _, r := range reports {
-		if r.TraceID < 0 || r.TraceID >= n || seen[r.TraceID] {
-			t.Fatalf("bad or duplicate TraceID %d", r.TraceID)
-		}
-		seen[r.TraceID] = true
 	}
 }

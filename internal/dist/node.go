@@ -200,20 +200,13 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		excludes := append([]core.Range(nil), req.Excludes...)
-		var observers []obs.Observer
-		if n.cfg.Metrics != nil {
-			observers = append(observers, n.cfg.Metrics)
-		}
-		if n.cfg.Flight != nil {
-			observers = append(observers, flight.EngineObserver(n.cfg.Flight))
-		}
 		sess = &nodeSession{
 			worker: core.NewWorker(core.Options{
 				Rules:          rules,
 				Check:          core.Config{Shards: n.cfg.Shards, EpochGC: n.cfg.EpochGC},
 				TrackOnly:      req.TrackOnly,
 				StaticExcludes: excludes,
-				Observer:       obs.Multi(observers...),
+				Observer:       obs.Multi(n.cfg.Metrics, flight.EngineObserver(n.cfg.Flight)),
 				Logger:         n.cfg.Logger,
 			}),
 			base: req.StartSeq,

@@ -13,10 +13,13 @@
 // capped exponential backoff with jitter, one circuit breaker per node
 // in each session (fed by that session's traffic alone; there is no
 // background health prober), failover that replays buffered
-// unacknowledged sections on a healthy node, and (by default) graceful
-// degradation to a local in-process check, through the same
-// core.Worker a node session runs, when every node is down. Every
-// degradation step is observable through obs counters (dist_retries,
+// unacknowledged sections on a healthy node, and graceful degradation
+// to a local in-process check, through the same core.Worker a node
+// session runs, when every node is down or one refuses a section. A
+// section that does not encode, or that is larger than the session's
+// 16 MiB buffer, takes that local check without being sent. Every
+// section gets exactly one report, in seq order, and every degradation
+// step is observable through obs counters (dist_retries,
 // dist_failovers, dist_fallbacks, dist_buffered_bytes, ...).
 package dist
 

@@ -378,11 +378,6 @@ func (c *campaign) takeCensus(tgt Target) (Census, error) {
 	return hook.Census(), nil
 }
 
-// recorder buffers the current trace section.
-type recorder struct{ ops []trace.Op }
-
-func (r *recorder) Record(op trace.Op, _ int) { r.ops = append(r.ops, op) }
-
 // runSchedule executes one (target, class, site) plan: run the workload
 // with the fault armed, stop at the faulted section, judge it with the
 // engine, then search crash states for a failing recovery and minimize
@@ -392,7 +387,7 @@ func (c *campaign) runSchedule(tgt Target, sc Schedule) Outcome {
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.CampaignSchedules.Add(1)
 	}
-	rec := &recorder{}
+	rec := &trace.Recorder{}
 	dev := pmem.New(tgt.DevSize, rec)
 	st, err := tgt.New(dev)
 	if err != nil {
@@ -406,20 +401,20 @@ func (c *campaign) runSchedule(tgt Target, sc Schedule) Outcome {
 	completed := 0
 	var section []trace.Op
 	for i := 0; i < c.cfg.Ops; i++ {
-		rec.ops = rec.ops[:0]
+		rec.Ops = rec.Ops[:0]
 		err := st.Do(i)
 		if err != nil {
 			out.Err = fmt.Sprintf("op %d: %v", i, err)
 			if inj.Injected() {
 				out.OpIndex = i
-				section = append([]trace.Op(nil), rec.ops...)
+				section = append([]trace.Op(nil), rec.Ops...)
 			}
 			break
 		}
 		completed = i + 1
 		if inj.Injected() {
 			out.OpIndex = i
-			section = append([]trace.Op(nil), rec.ops...)
+			section = append([]trace.Op(nil), rec.Ops...)
 			break
 		}
 	}

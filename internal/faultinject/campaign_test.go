@@ -20,18 +20,18 @@ func TestTargetsBaselineClean(t *testing.T) {
 	const ops = 3
 	for _, tgt := range Targets() {
 		t.Run(tgt.Name, func(t *testing.T) {
-			rec := &recorder{}
+			rec := &trace.Recorder{}
 			dev := pmem.New(tgt.DevSize, rec)
 			st, err := tgt.New(dev)
 			if err != nil {
 				t.Fatalf("construct: %v", err)
 			}
 			for i := 0; i < ops; i++ {
-				rec.ops = rec.ops[:0]
+				rec.Ops = rec.Ops[:0]
 				if err := st.Do(i); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
-				rep := core.CheckTrace(core.X86{}, &trace.Trace{Ops: rec.ops})
+				rep := core.CheckTrace(core.X86{}, &trace.Trace{Ops: rec.Ops})
 				if rep.Fails() > 0 {
 					t.Fatalf("baseline op %d not clean:\n%s", i, rep.Summary())
 				}

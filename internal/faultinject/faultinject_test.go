@@ -8,10 +8,6 @@ import (
 	"pmtest/internal/trace"
 )
 
-type opsSink struct{ ops []trace.Op }
-
-func (s *opsSink) Record(op trace.Op, _ int) { s.ops = append(s.ops, op) }
-
 func TestClassRoundTrip(t *testing.T) {
 	for _, c := range AllClasses() {
 		got, err := ParseClass(c.String())
@@ -59,8 +55,8 @@ func TestCensusMatchesDeviceStats(t *testing.T) {
 // TestInjectorTargetsExactSite verifies that each class perturbs exactly
 // the site-th occurrence of its primitive and nothing else.
 func TestInjectorTargetsExactSite(t *testing.T) {
-	run := func(class Class, site int) (*pmem.Device, *Injector, *opsSink) {
-		sink := &opsSink{}
+	run := func(class Class, site int) (*pmem.Device, *Injector, *trace.Recorder) {
+		sink := &trace.Recorder{}
 		dev := pmem.New(1<<12, sink)
 		inj := NewInjector(dev, class, site, rand.New(rand.NewSource(9)))
 		dev.SetFaultHook(inj)
@@ -78,7 +74,7 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 	if !inj.Injected() {
 		t.Fatal("drop-flush not injected")
 	}
-	if n := countKind(sink.ops, trace.KindFlush); n != 2 {
+	if n := countKind(sink.Ops, trace.KindFlush); n != 2 {
 		t.Fatalf("drop-flush: %d flush ops, want 2", n)
 	}
 
@@ -88,7 +84,7 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 	if !inj.Injected() {
 		t.Fatal("drop-fence not injected")
 	}
-	if n := countKind(sink.ops, trace.KindFence); n != 2 {
+	if n := countKind(sink.Ops, trace.KindFence); n != 2 {
 		t.Fatalf("drop-fence: %d fence ops, want 2", n)
 	}
 	if dev.DirtyLines() != 1 {
@@ -102,7 +98,7 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 		t.Fatal("torn-store not injected")
 	}
 	var sizes []uint64
-	for _, op := range sink.ops {
+	for _, op := range sink.Ops {
 		if op.Kind == trace.KindWrite {
 			sizes = append(sizes, op.Size)
 		}
@@ -129,7 +125,7 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 		t.Fatal("delay-flush not injected")
 	}
 	idxFlush, idxFence := -1, -1
-	for i, op := range sink.ops {
+	for i, op := range sink.Ops {
 		if op.Kind == trace.KindFlush && idxFlush < 0 {
 			idxFlush = i
 		}
@@ -142,7 +138,7 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 	}
 	// The flush is deferred, not dropped: all three still appear (the
 	// next op's fence then legitimately drains the late line).
-	if n := countKind(sink.ops, trace.KindFlush); n != 3 {
+	if n := countKind(sink.Ops, trace.KindFlush); n != 3 {
 		t.Fatalf("delay-flush: %d flush ops, want 3", n)
 	}
 	_ = dev
@@ -153,10 +149,10 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 	if !inj.Injected() {
 		t.Fatal("weaken-fence not injected")
 	}
-	if n := countKind(sink.ops, trace.KindFence); n != 3 {
+	if n := countKind(sink.Ops, trace.KindFence); n != 3 {
 		t.Fatalf("weaken-fence: %d fences, want 3 (fence must survive)", n)
 	}
-	if n := countKind(sink.ops, trace.KindFlush); n != 2 {
+	if n := countKind(sink.Ops, trace.KindFlush); n != 2 {
 		t.Fatalf("weaken-fence: %d flushes, want 2", n)
 	}
 	if dev.DirtyLines() != 1 {
@@ -165,7 +161,7 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 
 	// evict: at store site 1 the line of store 0 is still dirty, so it
 	// is made durable early — no trace op, nothing lost.
-	sink = &opsSink{}
+	sink = &trace.Recorder{}
 	dev = pmem.New(1<<12, sink)
 	inj = NewInjector(dev, Evict, 1, rand.New(rand.NewSource(9)))
 	dev.SetFaultHook(inj)
@@ -178,8 +174,8 @@ func TestInjectorTargetsExactSite(t *testing.T) {
 	if !inj.Injected() {
 		t.Fatal("evict not injected")
 	}
-	if len(sink.ops) != 2 {
-		t.Fatalf("evict perturbed the trace: %d ops, want 2", len(sink.ops))
+	if len(sink.Ops) != 2 {
+		t.Fatalf("evict perturbed the trace: %d ops, want 2", len(sink.Ops))
 	}
 	if dev.DirtyLines() != 1 {
 		t.Fatalf("evict: %d dirty lines, want 1 (line 0 evicted, line 64 dirty)", dev.DirtyLines())

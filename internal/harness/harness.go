@@ -239,7 +239,7 @@ func (r *run) track() {
 		th.Start()
 	}
 	for _, c := range r.inline {
-		c.ops = c.ops[:0]
+		c.Ops = c.Ops[:0]
 	}
 }
 
@@ -289,18 +289,18 @@ func (r *run) close() {
 // it checks each section synchronously on the thread that cut it (no
 // master/worker decoupling, §3.2 / Fig. 8) and keeps its own tallies.
 type inlineChecker struct {
-	opsRecorder
+	trace.Recorder
 	fails, warns int
 }
 
 func (c *inlineChecker) check() {
-	if len(c.ops) == 0 {
+	if len(c.Ops) == 0 {
 		return
 	}
-	rep := core.CheckTrace(core.X86{}, &trace.Trace{Ops: c.ops})
+	rep := core.CheckTrace(core.X86{}, &trace.Trace{Ops: c.Ops})
 	c.fails += rep.Fails()
 	c.warns += rep.Warns()
-	c.ops = c.ops[:0]
+	c.Ops = c.Ops[:0]
 }
 
 // microDraw is the seed-42 draw of MicroBench and RecordMicroSections:
@@ -537,7 +537,7 @@ type YatEstimate struct {
 // EstimateYat records a short run of the store and sizes Yat's search
 // space for it.
 func EstimateYat(store string, n int, txSize uint64) (YatEstimate, error) {
-	rec := &opsRecorder{}
+	rec := &trace.Recorder{}
 	dev := pmem.New(deviceSize(n, txSize), rec)
 	s, err := newStore(store, dev, txSize, n)
 	if err != nil {
@@ -551,13 +551,9 @@ func EstimateYat(store string, n int, txSize uint64) (YatEstimate, error) {
 		}
 	}
 	initial := make([]byte, dev.Size())
-	space := yat.EstimateStateSpace(initial, rec.ops)
-	return YatEstimate{Store: store, Inserts: n, TraceOps: len(rec.ops), StateSpace: space}, nil
+	space := yat.EstimateStateSpace(initial, rec.Ops)
+	return YatEstimate{Store: store, Inserts: n, TraceOps: len(rec.Ops), StateSpace: space}, nil
 }
-
-type opsRecorder struct{ ops []trace.Op }
-
-func (r *opsRecorder) Record(op trace.Op, _ int) { r.ops = append(r.ops, op) }
 
 // RecordMicroSections runs n checkered insertions of txSize-byte values
 // into the named store and returns the recorded operations of each
@@ -566,7 +562,7 @@ func (r *opsRecorder) Record(op trace.Op, _ int) { r.ops = append(r.ops, op) }
 // material for offline checking, the pooled-state golden tests, and the
 // perf suite's check/encode benchmarks.
 func RecordMicroSections(store string, txSize uint64, n int) ([][]trace.Op, error) {
-	rec := &opsRecorder{}
+	rec := &trace.Recorder{}
 	dev := pmem.New(deviceSize(n, txSize), rec)
 	s, err := newStore(store, dev, txSize, n)
 	if err != nil {
@@ -578,11 +574,11 @@ func RecordMicroSections(store string, txSize uint64, n int) ([][]trace.Op, erro
 	keys, val := microDraw(n, txSize)
 	sections := make([][]trace.Op, 0, n)
 	for _, k := range keys {
-		rec.ops = nil
+		rec.Ops = nil
 		if err := s.Insert(k, val); err != nil {
 			return nil, err
 		}
-		sections = append(sections, rec.ops)
+		sections = append(sections, rec.Ops)
 	}
 	return sections, nil
 }

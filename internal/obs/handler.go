@@ -66,7 +66,6 @@ func writeProm(w http.ResponseWriter, s Snapshot) {
 	counter("pmtest_dist_retries_total", "Distributed-checking RPC attempts beyond the first.", s.DistRetries)
 	counter("pmtest_dist_failovers_total", "Checking sessions re-established on another node.", s.DistFailovers)
 	counter("pmtest_dist_breaker_opens_total", "Per-node circuit breaker closed-to-open transitions.", s.DistBreakerOpens)
-	counter("pmtest_dist_sections_dropped_total", "Sections dropped on client buffer overflow.", s.DistSectionsDropped)
 	counter("pmtest_dist_fallbacks_total", "Sessions degraded to a local in-process engine.", s.DistFallbacks)
 	counter("pmtest_dist_rpc_errors_total", "Failed distributed-checking RPC attempts.", s.DistRPCErrors)
 	fmt.Fprintf(w, "# HELP pmtest_dist_buffered_bytes Encoded section bytes currently buffered unacknowledged.\n")

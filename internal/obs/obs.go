@@ -254,15 +254,16 @@ type StallObserver interface {
 	SubmitStalled(worker int, d time.Duration)
 }
 
-// Multi fans events out to several observers. Nil entries are skipped;
-// Multi returns nil when none remain, so the engine's "no observer"
-// fast path still applies.
+// Multi fans events out to several observers. Nil entries, a nil
+// *Metrics among them, are skipped; Multi returns nil when none remain,
+// so the engine's "no observer" fast path still applies.
 func Multi(obs ...Observer) Observer {
 	var live []Observer
 	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
+		if m, ok := o.(*Metrics); o == nil || ok && m == nil {
+			continue
 		}
+		live = append(live, o)
 	}
 	switch len(live) {
 	case 0:
@@ -354,18 +355,17 @@ type Metrics struct {
 	// Distributed checking tier (filled by internal/dist). Every
 	// degradation the client tier performs is counted here so "the tier
 	// silently dropped work" is impossible by construction: retries,
-	// failovers, breaker trips, overflow drops and local-engine
-	// fallbacks each have their own counter, and the live buffer level
-	// is a gauge with a high-water mark.
-	DistSectionsSent    Counter // sections acknowledged (report received)
-	DistRetries         Counter // RPC attempts beyond the first
-	DistFailovers       Counter // sessions re-established on another node
-	DistBreakerOpens    Counter // circuit-breaker closed→open transitions
-	DistSectionsDropped Counter // sections dropped on buffer overflow
-	DistFallbacks       Counter // sessions degraded to a local engine
-	DistRPCErrors       Counter // failed RPC attempts (any cause)
-	DistBufferedBytes   Gauge   // encoded bytes currently buffered unacked
-	DistBufferedPeak    Gauge   // high-water mark of DistBufferedBytes
+	// failovers, breaker trips and local-engine fallbacks each have
+	// their own counter, and the live buffer level is a gauge with a
+	// high-water mark.
+	DistSectionsSent  Counter // sections acknowledged (report received)
+	DistRetries       Counter // RPC attempts beyond the first
+	DistFailovers     Counter // sessions re-established on another node
+	DistBreakerOpens  Counter // circuit-breaker closed→open transitions
+	DistFallbacks     Counter // sections checked in-process by the client
+	DistRPCErrors     Counter // failed RPC attempts (any cause)
+	DistBufferedBytes Gauge   // encoded bytes currently buffered unacked
+	DistBufferedPeak  Gauge   // high-water mark of DistBufferedBytes
 	// DistRTT observes one delivery per acknowledged section: from
 	// writing the section's request to reading its report-carrying ack.
 	// That includes waiting behind the earlier sections in the session's
@@ -527,16 +527,15 @@ type Snapshot struct {
 	RecoveryFailures     uint64 `json:"recovery_failures,omitempty"`
 	CampaignDeadlineHits uint64 `json:"campaign_deadline_hits,omitempty"`
 
-	DistSectionsSent    uint64       `json:"dist_sections_sent,omitempty"`
-	DistRetries         uint64       `json:"dist_retries,omitempty"`
-	DistFailovers       uint64       `json:"dist_failovers,omitempty"`
-	DistBreakerOpens    uint64       `json:"dist_breaker_opens,omitempty"`
-	DistSectionsDropped uint64       `json:"dist_sections_dropped,omitempty"`
-	DistFallbacks       uint64       `json:"dist_fallbacks,omitempty"`
-	DistRPCErrors       uint64       `json:"dist_rpc_errors,omitempty"`
-	DistBufferedBytes   int64        `json:"dist_buffered_bytes,omitempty"`
-	DistBufferedPeak    int64        `json:"dist_buffered_peak,omitempty"`
-	DistRTT             HistSnapshot `json:"dist_rtt"`
+	DistSectionsSent  uint64       `json:"dist_sections_sent,omitempty"`
+	DistRetries       uint64       `json:"dist_retries,omitempty"`
+	DistFailovers     uint64       `json:"dist_failovers,omitempty"`
+	DistBreakerOpens  uint64       `json:"dist_breaker_opens,omitempty"`
+	DistFallbacks     uint64       `json:"dist_fallbacks,omitempty"`
+	DistRPCErrors     uint64       `json:"dist_rpc_errors,omitempty"`
+	DistBufferedBytes int64        `json:"dist_buffered_bytes,omitempty"`
+	DistBufferedPeak  int64        `json:"dist_buffered_peak,omitempty"`
+	DistRTT           HistSnapshot `json:"dist_rtt"`
 
 	PerWorkerChecked []uint64 `json:"per_worker_checked,omitempty"`
 	QueueDepths      []int    `json:"queue_depths,omitempty"`
@@ -589,7 +588,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		DistRetries:          m.DistRetries.Load(),
 		DistFailovers:        m.DistFailovers.Load(),
 		DistBreakerOpens:     m.DistBreakerOpens.Load(),
-		DistSectionsDropped:  m.DistSectionsDropped.Load(),
 		DistFallbacks:        m.DistFallbacks.Load(),
 		DistRPCErrors:        m.DistRPCErrors.Load(),
 		DistBufferedBytes:    m.DistBufferedBytes.Load(),
@@ -706,8 +704,8 @@ func (s Snapshot) Format() string {
 		fmt.Fprintf(&b, "dist     sent %d (retries %d, failovers %d, breaker opens %d), buffered %dB (peak %dB)",
 			s.DistSectionsSent, s.DistRetries, s.DistFailovers, s.DistBreakerOpens,
 			s.DistBufferedBytes, s.DistBufferedPeak)
-		if s.DistSectionsDropped > 0 || s.DistFallbacks > 0 {
-			fmt.Fprintf(&b, ", dropped %d, local fallbacks %d", s.DistSectionsDropped, s.DistFallbacks)
+		if s.DistFallbacks > 0 {
+			fmt.Fprintf(&b, ", local fallbacks %d", s.DistFallbacks)
 		}
 		fmt.Fprintf(&b, "\n         rtt p50 %v / p99 %v over %d sections\n",
 			s.DistRTT.P50, s.DistRTT.P99, s.DistRTT.Count)

@@ -280,6 +280,20 @@ func TestMulti(t *testing.T) {
 	}
 }
 
+// TestMultiSkipsNilMetrics: a nil *Metrics is a non-nil Observer
+// interface value; Multi skips it like a nil entry, so callers can pass
+// an optional registry straight in.
+func TestMultiSkipsNilMetrics(t *testing.T) {
+	var nilM *Metrics
+	if Multi(nilM) != nil {
+		t.Fatal("Multi of a nil *Metrics must be nil")
+	}
+	a := NewMetrics(1)
+	if Multi(nilM, a) != Observer(a) {
+		t.Fatal("Multi of a nil *Metrics and one observer must return that observer")
+	}
+}
+
 func TestSnapshotFormat(t *testing.T) {
 	m := NewMetrics(4)
 	m.TraceSubmitted(0, 0, 10)

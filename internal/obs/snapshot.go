@@ -223,7 +223,6 @@ func mergeMetrics(acc *Snapshot, s Snapshot) error {
 	acc.DistRetries += s.DistRetries
 	acc.DistFailovers += s.DistFailovers
 	acc.DistBreakerOpens += s.DistBreakerOpens
-	acc.DistSectionsDropped += s.DistSectionsDropped
 	acc.DistFallbacks += s.DistFallbacks
 	acc.DistRPCErrors += s.DistRPCErrors
 	acc.DistBufferedBytes += s.DistBufferedBytes

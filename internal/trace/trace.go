@@ -200,6 +200,12 @@ type discard struct{}
 
 func (discard) Record(Op, int) {}
 
+// Recorder is a Sink that keeps every operation in memory, in order.
+type Recorder struct{ Ops []Op }
+
+// Record implements Sink.
+func (r *Recorder) Record(op Op, _ int) { r.Ops = append(r.Ops, op) }
+
 // MultiSink fans one operation stream out to several sinks.
 type MultiSink []Sink
 

@@ -163,15 +163,19 @@ type Config struct {
 	// paths equivalent: a section is a self-contained unit of work, so
 	// the reports are byte-identical to a local run — including across
 	// node failures, which the client absorbs with retries, failover and
-	// (by default) local fallback. Degradation is visible in Stats as
-	// the dist_* counters.
+	// a local fallback check. Degradation is visible in Stats as the
+	// dist_* counters.
 	Remote *RemoteConfig
 }
 
 // RemoteConfig selects and tunes the distributed checking tier. The
 // session homes on one node by session-ID hash and keeps one circuit
 // breaker per node, fed by its own traffic alone; there is no background
-// health prober.
+// health prober. It buffers up to 16 MiB of unacknowledged sections, and
+// at that cap SendTrace blocks. Every section gets exactly one report,
+// in send order: from a node, or from the in-process check that takes a
+// section no node accepts, one that does not encode, and one larger
+// than the whole buffer.
 type RemoteConfig struct {
 	// Nodes are the pmtestd node addresses (host:port). Sessions shard
 	// across them by session-id hash and fail over around the ring.
@@ -182,17 +186,6 @@ type RemoteConfig struct {
 	// Attempts bounds tries of one RPC, or of getting one section
 	// acknowledged, against one node before failing over (default 3).
 	Attempts int
-	// BufferLimit caps the bytes of unacknowledged sections buffered
-	// client-side (default 16MB). At the cap SendTrace blocks
-	// (backpressure) unless DropOnOverflow is set.
-	BufferLimit int64
-	// DropOnOverflow drops sections instead of blocking at the buffer
-	// cap; drops are counted in Stats (dist_sections_dropped).
-	DropOnOverflow bool
-	// DisableFallback turns off the local in-process check of sections
-	// no node accepts; such sections are then dropped with a deferred
-	// session error.
-	DisableFallback bool
 }
 
 // Stats is the observability snapshot returned by (*Session).Stats.
@@ -262,19 +255,6 @@ func Init(cfg Config) *Session {
 	for i, v := range cfg.StaticExcludes {
 		excludes[i] = core.Range{Addr: v.Addr, Size: v.Size}
 	}
-	// Fan lifecycle events out to the metrics registry and any custom
-	// observer; Multi returns nil when neither is set, preserving the
-	// engine's uninstrumented fast path.
-	var observers []obs.Observer
-	if cfg.Metrics != nil {
-		observers = append(observers, cfg.Metrics)
-	}
-	if cfg.Observer != nil {
-		observers = append(observers, cfg.Observer)
-	}
-	if cfg.Flight != nil {
-		observers = append(observers, flight.EngineObserver(cfg.Flight))
-	}
 	if cfg.Metrics != nil && cfg.RecordTo != nil {
 		cfg.RecordTo = &countingWriter{w: cfg.RecordTo, n: &cfg.Metrics.BytesEncoded}
 	}
@@ -288,17 +268,14 @@ func Init(cfg Config) *Session {
 	}
 	if r := cfg.Remote; r != nil {
 		remote, err := dist.Open(s.sid, cfg.Model, dist.Options{
-			Nodes:           r.Nodes,
-			RPCTimeout:      r.RPCTimeout,
-			Attempts:        r.Attempts,
-			BufferLimit:     r.BufferLimit,
-			DropOnOverflow:  r.DropOnOverflow,
-			DisableFallback: r.DisableFallback,
-			TrackOnly:       cfg.TrackOnly,
-			Excludes:        excludes,
-			Metrics:         cfg.Metrics,
-			Flight:          cfg.Flight,
-			Logger:          logger,
+			Nodes:      r.Nodes,
+			RPCTimeout: r.RPCTimeout,
+			Attempts:   r.Attempts,
+			TrackOnly:  cfg.TrackOnly,
+			Excludes:   excludes,
+			Metrics:    cfg.Metrics,
+			Flight:     cfg.Flight,
+			Logger:     logger,
 		})
 		if err != nil {
 			// A misconfigured remote tier must not kill the program under
@@ -313,13 +290,16 @@ func Init(cfg Config) *Session {
 		}
 	}
 	if s.engine == nil {
+		// Fan lifecycle events out to the metrics registry, any custom
+		// observer and the flight recorder; Multi returns nil when none
+		// is set, preserving the engine's uninstrumented fast path.
 		eng := core.NewEngine(core.Options{
 			Rules:          cfg.Model,
 			Workers:        cfg.Workers,
 			Check:          core.Config{Shards: cfg.Shards, EpochGC: cfg.EpochGC},
 			TrackOnly:      cfg.TrackOnly,
 			StaticExcludes: excludes,
-			Observer:       obs.Multi(observers...),
+			Observer:       obs.Multi(cfg.Metrics, cfg.Observer, flight.EngineObserver(cfg.Flight)),
 			Logger:         logger,
 		})
 		s.engine = eng
@@ -393,8 +373,8 @@ func (s *Session) Exit() []Report {
 func (s *Session) GetResult() []Report { return s.engine.Wait() }
 
 // Err returns the first deferred session error — a failure serializing
-// a trace to Config.RecordTo, or a remote-checking degradation (refused
-// or dropped section) — or nil. Such errors disable or degrade the
+// a trace to Config.RecordTo, or a remote section that a node refused or
+// that did not encode — or nil. Such errors disable or degrade the
 // failing feature but never crash the program under test.
 func (s *Session) Err() error {
 	s.mu.Lock()

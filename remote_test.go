@@ -2,12 +2,14 @@ package pmtest
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"pmtest/internal/dist"
 	"pmtest/internal/obs"
+	"pmtest/internal/trace"
 )
 
 // remoteNodeAddr hosts one checker node over loopback HTTP.
@@ -108,5 +110,48 @@ func TestRemoteConfigInvalidFallsBackLocal(t *testing.T) {
 	}
 	if sess.Err() == nil {
 		t.Fatal("invalid remote config left no deferred error")
+	}
+}
+
+// TestRemoteUnencodableSectionMatchesLocal: a section the wire format
+// cannot carry (a call-site file name past its 16-bit length) between
+// two normal sections is checked in-process in its place, so the remote
+// reports equal the local engine's and the encode error is deferred.
+func TestRemoteUnencodableSectionMatchesLocal(t *testing.T) {
+	long := strings.Repeat("f", 70000)
+	run := func(sess *Session) []Report {
+		th := sess.ThreadInit()
+		th.Start()
+		for i, file := range []string{"", long, ""} {
+			addr := uint64(0x100 * (i + 1))
+			th.Record(trace.Op{Kind: trace.KindWrite, Addr: addr, Size: 64, File: file, Line: 7}, 0)
+			th.IsPersist(addr, 64)
+			th.SendTrace()
+		}
+		return sess.Exit()
+	}
+	local := run(Init(Config{}))
+	sess := Init(Config{Remote: &RemoteConfig{Nodes: []string{remoteNodeAddr(t)}}})
+	remote := run(sess)
+
+	if len(local) != 3 {
+		t.Fatalf("local run: %d reports, want 3", len(local))
+	}
+	for _, r := range local {
+		if r.Fails() != 1 {
+			t.Fatalf("local report %d: %s, want one FAIL", r.TraceID, r.Summary())
+		}
+	}
+	if len(remote) != len(local) {
+		t.Fatalf("remote run: %d reports, local: %d", len(remote), len(local))
+	}
+	for i := range local {
+		if l, r := local[i], remote[i]; !reflect.DeepEqual(r, l) {
+			t.Fatalf("report %d diverged: local trace %d with %d FAIL, remote trace %d with %d FAIL",
+				i, l.TraceID, l.Fails(), r.TraceID, r.Fails())
+		}
+	}
+	if sess.Err() == nil {
+		t.Fatal("unencodable section left no deferred error")
 	}
 }
