@@ -570,3 +570,42 @@ func TestOversizeSectionCheckedInOrder(t *testing.T) {
 		t.Fatalf("buffered peak %d exceeded the %d cap", snap.DistBufferedPeak, limit)
 	}
 }
+
+// TestLocalCheckKeepsNodeSession: a section checked in-process while
+// the session is open on a node leaves that node session in place. The
+// next section reopens it at its own seq, and Close tears it down even
+// when the locally checked section is the last.
+func TestLocalCheckKeepsNodeSession(t *testing.T) {
+	addr, _, node := startTestNode(t)
+	limit := 2 * encodedSize(t, testTrace(0))
+	big := &trace.Trace{}
+	for i := 0; i < 3; i++ {
+		big.Ops = append(big.Ops, testTrace(i).Ops...)
+	}
+	for _, tc := range []struct {
+		name     string
+		sections []*trace.Trace
+	}{
+		{"between", []*trace.Trace{testTrace(0), big, testTrace(2)}},
+		{"last", []*trace.Trace{testTrace(0), big}},
+	} {
+		s, m, _ := testSession(t, "local-"+tc.name, []string{addr}, &HTTPTransport{}, func(o *Options) {
+			o.bufferCap = limit
+			o.now, o.sleep = nil, nil
+		})
+		for _, sec := range tc.sections {
+			s.Submit(sec)
+		}
+		if reps := s.Close(); len(reps) != len(tc.sections) {
+			t.Fatalf("%s: %d reports, want %d", tc.name, len(reps), len(tc.sections))
+		}
+		snap := m.Snapshot()
+		if snap.DistRPCErrors != 0 || snap.DistFallbacks != 1 || snap.DistSectionsSent != uint64(len(tc.sections)-1) {
+			t.Fatalf("%s: rpc_errors=%d fallbacks=%d sent=%d, want 0/1/%d",
+				tc.name, snap.DistRPCErrors, snap.DistFallbacks, snap.DistSectionsSent, len(tc.sections)-1)
+		}
+		if n := node.Sessions(); n != 0 {
+			t.Fatalf("%s: the node still hosts %d sessions after Close", tc.name, n)
+		}
+	}
+}

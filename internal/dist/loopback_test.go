@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -106,6 +107,26 @@ func TestNodeProtocol(t *testing.T) {
 	if _, err := ht.Open(ctx, addr, OpenRequest{Version: 99, Session: "v", Model: "x86"}); classify(err) != classRefused {
 		t.Fatalf("bad version: err = %v, want a refused class", err)
 	}
+	// A version 1 client, which reads JSON acks, is refused with both
+	// versions named; its session then checks in-process and says why.
+	_, err = ht.Open(ctx, addr, OpenRequest{Version: 1, Session: "v1", Model: "x86"})
+	var re *RPCError
+	if !errors.As(err, &re) || re.Status != http.StatusBadRequest || classify(err) != classRefused ||
+		!strings.Contains(re.Msg, "version 1") || !strings.Contains(re.Msg, fmt.Sprint("speaks ", ProtocolVersion)) {
+		t.Fatalf("version 1 open: err = %v, want a refused 400 naming versions 1 and %d", err, ProtocolVersion)
+	}
+	m := obs.NewMetrics(8)
+	v1, err := Open("v1-client", core.X86{}, Options{Nodes: []string{addr}, Transport: &v1Transport{}, Attempts: 1, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1.Submit(testTrace(0))
+	if reps := v1.Close(); len(reps) != 1 || reps[0].Ops != 4 || m.Snapshot().DistFallbacks != 1 {
+		t.Fatalf("version 1 session: reports %+v, fallbacks %d; want one local 4-op check", reps, m.Snapshot().DistFallbacks)
+	}
+	if err := v1.Err(); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("version 1 session: Err() = %v, want the refusal", err)
+	}
 	// Every built-in model is accepted by name, and "" means x86; an
 	// unknown name is refused.
 	models := []string{""}
@@ -132,6 +153,14 @@ func TestNodeProtocol(t *testing.T) {
 	if err := ht.CloseSession(ctx, addr, "s"); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+}
+
+// v1Transport opens sessions as a protocol version 1 client does.
+type v1Transport struct{ HTTPTransport }
+
+func (t *v1Transport) Open(ctx context.Context, node string, req OpenRequest) (OpenResponse, error) {
+	req.Version = 1
+	return t.HTTPTransport.Open(ctx, node, req)
 }
 
 // TestNodeInterleavedSessions streams two sessions' sections to one

@@ -227,7 +227,7 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
-	sid := r.URL.Query().Get("session")
+	sid := sessionParam(r.URL.RawQuery)
 	seq, err := strconv.ParseUint(r.Header.Get(headerSeq), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad %s: %v", headerSeq, err)
@@ -338,7 +338,11 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 		// redeliveries per session.
 		rpcSpan.SetInt("replay", 1)
 	}
-	writeJSON(w, sess.reports[seq-sess.base])
+	sb.ack = appendReport(sb.ack[:0], sess.reports[seq-sess.base])
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(sb.ack)))
+	w.Write(sb.ack)
 }
 
 // maxBodyPrealloc caps the buffer a section body reserves from its
@@ -347,13 +351,15 @@ func (n *Node) handleSection(w http.ResponseWriter, r *http.Request) {
 // grew past it are dropped, not kept.
 const maxBodyPrealloc = 64 << 10
 
-// sectionBuf is one section request's body and the trace decoded from
-// it, pooled across requests and sessions: the body buffer, and the
-// trace's op slice, which DecodeBytes sizes from the body, are reused.
+// sectionBuf is one section request's body, the trace decoded from it
+// and its ack, pooled across requests and sessions: the body buffer, the
+// trace's op slice, which DecodeBytes sizes from the body, and the ack
+// buffer are reused.
 type sectionBuf struct {
 	body bytes.Buffer
 	lim  io.LimitedReader
 	tr   trace.Trace
+	ack  []byte
 }
 
 var sectionPool = sync.Pool{New: func() any { return new(sectionBuf) }}
@@ -372,12 +378,12 @@ func (b *sectionBuf) read(r *http.Request, limit int64) ([]byte, error) {
 	return b.body.Bytes(), err
 }
 
-// release returns b to the pool unless its body buffer is larger than
-// maxBodyPrealloc: a large section's buffers go to the collector. The
-// trace is bounded with the body, since DecodeBytes holds no more ops
-// than the body's bytes encode.
+// release returns b to the pool unless its body or ack buffer is larger
+// than maxBodyPrealloc: a large section's buffers go to the collector.
+// The trace is bounded with the body, since DecodeBytes holds no more
+// ops than the body's bytes encode.
 func (b *sectionBuf) release() {
-	if b.body.Cap() <= maxBodyPrealloc {
+	if b.body.Cap() <= maxBodyPrealloc && cap(b.ack) <= maxBodyPrealloc {
 		sectionPool.Put(b)
 	}
 }
@@ -388,7 +394,7 @@ func (b *sectionBuf) release() {
 // fan-out querier treats "no data here" as a normal outcome, reserving
 // error rows for nodes that are actually unreachable.
 func (n *Node) handleReports(w http.ResponseWriter, r *http.Request) {
-	sid := r.URL.Query().Get("session")
+	sid := sessionParam(r.URL.RawQuery)
 	if sid == "" {
 		httpError(w, http.StatusBadRequest, "missing session parameter")
 		return
@@ -407,7 +413,7 @@ func (n *Node) handleReports(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleClose(w http.ResponseWriter, r *http.Request) {
-	sid := r.URL.Query().Get("session")
+	sid := sessionParam(r.URL.RawQuery)
 	n.mu.Lock()
 	sess := n.sessions[sid]
 	delete(n.sessions, sid)

@@ -6,10 +6,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
 	"time"
+
+	"pmtest/internal/core"
 )
 
 // TestNodeSectionCostFlat: a section costs the node the same however
@@ -55,5 +58,22 @@ func TestNodeSectionCostFlat(t *testing.T) {
 	t.Logf("allocation per section: %d B near seq 10, %d B near seq 5000", early, late)
 	if late > 2*early {
 		t.Fatalf("per-section allocation grew with the session: %d B near seq 10, %d B near seq 5000", early, late)
+	}
+}
+
+// TestStreamCleanAckAllocs: reading a clean ack, status line, headers,
+// body and report, allocates nothing.
+func TestStreamCleanAckAllocs(t *testing.T) {
+	resp := ackResponse(core.Report{TraceID: 7, Thread: 1, Ops: 4, TrackedOps: 3})
+	r := bytes.NewReader(nil)
+	st := newHTTPStream(&cannedConn{r: r}, "canned", "s", time.Second)
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Reset(resp)
+		if rep, err := st.Recv(); err != nil || rep.TraceID != 7 {
+			t.Fatalf("ack: %+v, %v", rep, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading a clean ack: %.1f allocs, want 0", allocs)
 	}
 }

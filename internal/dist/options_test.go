@@ -131,3 +131,46 @@ func TestRemoteEngineOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadFleetFallbackSites: with every node down, each section is
+// checked in-process from its buffered payload, decoded as a node
+// decodes it. Sections recorded with call sites (CaptureSites) keep
+// them through that decode, so the reports, FAIL sites included, equal
+// a local engine's.
+func TestDeadFleetFallbackSites(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	var sections [][]trace.Op
+	for _, ops := range optionSections() {
+		b := trace.NewBuilder(0, true)
+		for _, op := range ops {
+			b.Record(op, 0)
+		}
+		sections = append(sections, b.Take().Ops)
+	}
+	want := localDump(core.Options{}, sections)
+	if !strings.Contains(want, "FAIL") || !strings.Contains(want, "dist/options_test.go:") {
+		t.Fatalf("the local reports carry no FAIL at a captured site:\n%s", want)
+	}
+	m := obs.NewMetrics(8)
+	s, err := dist.Open("dead-fleet-sites", core.X86{}, dist.Options{
+		Nodes:      []string{dead},
+		RPCTimeout: 2 * time.Second,
+		Attempts:   1,
+		Metrics:    m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := harness.DumpReports(harness.ReplaySections(s, sections, 0)); got != want {
+		t.Fatalf("fallback reports differ from a local engine's:\nlocal:\n%s\nfallback:\n%s", want, got)
+	}
+	if snap := m.Snapshot(); snap.DistFallbacks != uint64(len(sections)) || snap.DistSectionsSent != 0 {
+		t.Fatalf("fallbacks=%d sent=%d, want %d/0", snap.DistFallbacks, snap.DistSectionsSent, len(sections))
+	}
+}

@@ -5,7 +5,10 @@
 // self-contained unit of work, so any node — or a fresh node after a
 // failover — produces the same report for the same bytes. Each session
 // pipelines its sections on one HTTP/1.1 connection, keeping up to 32
-// written and unacknowledged.
+// written and unacknowledged, and flushes them in bursts: only once at
+// most half the window is unanswered. A node acks each section with its
+// report in a compact binary form under an explicit Content-Length,
+// which the client reads without net/http's response machinery.
 //
 // One type is the client: Open returns a Session, which homes on a node
 // by session-id hash and owns everything its delivery needs. The
@@ -15,24 +18,32 @@
 // background health prober), failover that replays buffered
 // unacknowledged sections on a healthy node, and graceful degradation
 // to a local in-process check, through the same core.Worker a node
-// session runs, when every node is down or one refuses a section. A
-// section that does not encode, or that is larger than the session's
-// 16 MiB buffer, takes that local check without being sent. Every
-// section gets exactly one report, in seq order, and every degradation
-// step is observable through obs counters (dist_retries,
-// dist_failovers, dist_fallbacks, dist_buffered_bytes, ...).
+// session runs, when every node is down or one refuses a section. The
+// buffer holds each section as its encoded payload alone, which the
+// local check decodes as a node does. A section that does not encode,
+// or that is larger than the session's 16 MiB buffer, keeps its trace
+// and takes that local check without being sent. Every section gets
+// exactly one report, in seq order, and every degradation step is
+// observable through obs counters (dist_retries, dist_failovers,
+// dist_fallbacks, dist_buffered_bytes, ...).
 package dist
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
+	"strings"
 
 	"pmtest/internal/core"
 )
 
 // ProtocolVersion stamps OpenRequest so a node refuses a client speaking
-// a different section protocol instead of misinterpreting it.
-const ProtocolVersion = 1
+// a different section protocol instead of misinterpreting it. Version 2
+// acks a section with a binary report (appendReport); version 1 acked
+// it with JSON.
+const ProtocolVersion = 2
 
 // HTTP routes a checker node serves.
 const (
@@ -49,7 +60,10 @@ const (
 )
 
 // Section request headers. The section body is one trace.Encode'd
-// section; the CRC is crc32.ChecksumIEEE over exactly those bytes.
+// section; the CRC is crc32.ChecksumIEEE over exactly those bytes. A
+// 2xx response carries the section's report in appendReport's form
+// under a Content-Length; any other status carries the node's message
+// as plain text.
 // headerSpan carries the client's originating section span ID for
 // cross-node timeline correlation; it is optional in both directions —
 // old clients omit it, old nodes ignore it — so the protocol version
@@ -143,4 +157,98 @@ func classify(err error) errClass {
 	default:
 		return classRefused
 	}
+}
+
+// sessionParam returns the session query parameter of a request from
+// its raw query, without building the query map.
+func sessionParam(rawQuery string) string {
+	for rawQuery != "" {
+		var kv string
+		kv, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if v, ok := strings.CutPrefix(kv, "session="); ok {
+			sid, _ := url.QueryUnescape(v) // a malformed escape names no session
+			return sid
+		}
+	}
+	return ""
+}
+
+// appendReport appends r's ack form to b: varint TraceID, Thread, Ops,
+// TrackedOps and diagnostic count, then per diagnostic its severity
+// byte, length-prefixed Code, Message, Site and Related, and varint
+// OpIndex. Strings are carried byte for byte.
+func appendReport(b []byte, r core.Report) []byte {
+	for _, v := range [...]int{r.TraceID, r.Thread, r.Ops, r.TrackedOps, len(r.Diags)} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	for _, d := range r.Diags {
+		b = append(b, byte(d.Severity))
+		for _, s := range [...]string{string(d.Code), d.Message, d.Site, d.Related} {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
+		}
+		b = binary.AppendVarint(b, int64(d.OpIndex))
+	}
+	return b
+}
+
+// minDiagWire is the fewest bytes a diagnostic takes in an ack: its
+// severity, four empty strings and a one-byte OpIndex.
+const minDiagWire = 6
+
+var errBadAck = errors.New("dist: malformed report ack")
+
+// ackDecoder reads appendReport's fields from the front of b; the first
+// malformed field sets bad, and every read after it returns zero.
+type ackDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *ackDecoder) varint() int {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.bad, d.b = true, nil
+		return 0
+	}
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *ackDecoder) str() string {
+	n, k := binary.Uvarint(d.b)
+	if k <= 0 || n > uint64(len(d.b)-k) {
+		d.bad, d.b = true, nil
+		return ""
+	}
+	s := string(d.b[k : k+int(n)])
+	d.b = d.b[k+int(n):]
+	return s
+}
+
+// parseReport decodes one appendReport ack, which must fill b exactly.
+// It allocates no more diagnostics than b's remaining bytes can hold.
+func parseReport(b []byte) (core.Report, error) {
+	d := ackDecoder{b: b}
+	r := core.Report{TraceID: d.varint(), Thread: d.varint(), Ops: d.varint(), TrackedOps: d.varint()}
+	n := d.varint()
+	if d.bad || n < 0 || n > len(d.b)/minDiagWire {
+		return core.Report{}, errBadAck
+	}
+	if n > 0 {
+		r.Diags = make([]core.Diagnostic, n)
+	}
+	for i := range r.Diags {
+		if len(d.b) == 0 {
+			return core.Report{}, errBadAck
+		}
+		sev := core.Severity(d.b[0])
+		d.b = d.b[1:]
+		r.Diags[i] = core.Diagnostic{Severity: sev, Code: core.Code(d.str()),
+			Message: d.str(), Site: d.str(), Related: d.str(), OpIndex: d.varint()}
+	}
+	if d.bad || len(d.b) != 0 {
+		return core.Report{}, errBadAck
+	}
+	return r, nil
 }

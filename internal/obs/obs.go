@@ -367,9 +367,10 @@ type Metrics struct {
 	DistBufferedBytes Gauge   // encoded bytes currently buffered unacked
 	DistBufferedPeak  Gauge   // high-water mark of DistBufferedBytes
 	// DistRTT observes one delivery per acknowledged section: from
-	// writing the section's request to reading its report-carrying ack.
-	// That includes waiting behind the earlier sections in the session's
-	// window, which the node answers first.
+	// writing the section's request into the stream's buffer to reading
+	// its report-carrying ack. That includes waiting for the request's
+	// burst to be flushed and behind the earlier sections in the
+	// session's window, which the node answers first.
 	DistRTT Histogram
 
 	mu            sync.Mutex

@@ -28,6 +28,31 @@ func TestEncodeAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeOneAlloc: encoding a section whose ops carry file
+// names into a nil slice costs one allocation, and the bytes are
+// Encode's.
+func TestAppendEncodeOneAlloc(t *testing.T) {
+	tr := sampleTrace()
+	for i := range tr.Ops {
+		tr.Ops[i].File = "store/ctree.go"
+	}
+	var want bytes.Buffer
+	if err := Encode(&want, tr); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = AppendEncode(nil, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("AppendEncode(nil): %.1f allocs/op, bytes equal to Encode's: %v; want 1 allocation and equal bytes",
+			allocs, bytes.Equal(got, want.Bytes()))
+	}
+}
+
 // TestDecodeAllocCeiling pins allocs per decoded 38-op section held in
 // a *bytes.Reader: the trace, its op slice and the scratch buffer the
 // fixed-width op tails are read into. The decoder reads the in-memory

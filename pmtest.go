@@ -154,9 +154,11 @@ type Config struct {
 	// nil the tracking hot path gains only a nil check per op.
 	Flight *flight.Recorder
 	// Logger, when non-nil, receives structured leveled log records from
-	// the session and its engine. Every record carries the session ID;
-	// engine records add trace_id/span_id, correlating log lines with
-	// flight spans. When nil nothing is logged and nothing is paid.
+	// the session and its engine. Every record carries one "session"
+	// attribute: the session's ID, or its SID on the records of a remote
+	// session's dist client. Engine records add trace_id/span_id,
+	// correlating log lines with flight spans. When nil nothing is
+	// logged and nothing is paid.
 	Logger *slog.Logger
 	// Remote, when non-nil, streams trace sections to pmtestd checker
 	// nodes instead of a local engine. Decoupled checking makes the two
@@ -275,7 +277,8 @@ func Init(cfg Config) *Session {
 			Excludes:   excludes,
 			Metrics:    cfg.Metrics,
 			Flight:     cfg.Flight,
-			Logger:     logger,
+			// The client stamps its records with the SID itself.
+			Logger: cfg.Logger,
 		})
 		if err != nil {
 			// A misconfigured remote tier must not kill the program under
@@ -338,7 +341,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // ID returns the session's process-unique identifier — the "session"
-// attribute on every log record the session and its engine emit.
+// attribute on every log record the session and its engine emit. The
+// records of a remote session's dist client carry the SID as their
+// "session" attribute instead.
 func (s *Session) ID() uint64 { return s.id }
 
 // SID returns the session's correlation name, "pmtest-<id>": the
