@@ -89,6 +89,31 @@ func TestDecodeInvalidKind(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesWhatDecodeRefuses: for every kind byte, AppendEncode
+// fails exactly when DecodeBytes would refuse the op, so a payload
+// AppendEncode returns always decodes.
+func TestEncodeRefusesWhatDecodeRefuses(t *testing.T) {
+	valid := sampleTrace()
+	payload, err := AppendEncode(nil, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 256; k++ {
+		tr := sampleTrace()
+		tr.Ops[2].Kind = Kind(k)
+		got, encErr := AppendEncode([]byte("x"), tr)
+		b := bytes.Clone(payload)
+		b[28+2*opWireSize+len("app.go")] = byte(k) // the third op's kind byte
+		decErr := DecodeBytes(new(Trace), b, DefaultLimits)
+		if (encErr == nil) != (decErr == nil) {
+			t.Fatalf("kind %d: encode error %v, decode error %v", k, encErr, decErr)
+		}
+		if encErr != nil && string(got) != "x" {
+			t.Fatalf("kind %d: failed encode returned %q, want the input slice", k, got)
+		}
+	}
+}
+
 func TestQuickEncodeDecode(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
