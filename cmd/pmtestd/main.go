@@ -1,17 +1,20 @@
 // Command pmtestd is the distributed checking tier's node and test
 // client. `pmtestd serve` hosts core-engine checking sessions behind
 // the HTTP section protocol (internal/dist); programs under test reach
-// it through pmtest.Config.Remote. `pmtestd stream` drives a
-// deterministic recorded workload through the remote tier — or, with no
-// -nodes, through a local engine — and writes a normalized report dump,
-// so a remote run (including one with a node killed mid-stream) can be
-// diffed byte-for-byte against a local run.
+// it through pmtest.Config.Remote. A node checks each session under the
+// spec the session's open carries, so it has no checking flags of its
+// own. `pmtestd stream` drives a deterministic recorded workload
+// through the remote tier — or, with no -nodes, through a local engine
+// — and writes a normalized report dump, so a remote run (including one
+// with a node killed mid-stream) can be diffed byte-for-byte against a
+// local run. Its -shards and -epoch-gc choose the session's checker
+// configuration, which its nodes and its local check then follow.
 //
 // Usage:
 //
 //	pmtestd serve -listen :9321 -obs-listen :8081
 //	pmtestd stream -nodes 127.0.0.1:9321,127.0.0.1:9322 -store ctree \
-//	    -sections 120 -out remote.txt -snapshot snap.json
+//	    -sections 120 -shards 4 -epoch-gc -out remote.txt -snapshot snap.json
 //	pmtestd stream -store ctree -sections 120 -out local.txt
 package main
 
@@ -64,8 +67,6 @@ func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", ":9321", "section protocol listen address")
 	obsListen := fs.String("obs-listen", "", "observability endpoint address (/metrics, /obs/v1/snapshot, /flight)")
-	shards := fs.Int("shards", 1, "address stripes per hosted session (sharded checking; 1 = serial)")
-	epochGC := fs.Bool("epoch-gc", false, "retire long-closed shadow segments (bounds memory on streaming runs; can drop a FAIL over a retired range)")
 	maxSessions := fs.Int("max-sessions", 256, "max concurrently hosted sessions")
 	sessionTTL := fs.Duration("session-ttl", 5*time.Minute, "reap sessions idle longer than this")
 	pprof := fs.Bool("pprof", false, "mount net/http/pprof on the -obs-listen address")
@@ -101,7 +102,6 @@ func serve(args []string) {
 	node := dist.NewNode(dist.NodeConfig{
 		Metrics: metrics, Flight: rec, Logger: logger,
 		MaxSessions: *maxSessions, SessionTTL: *sessionTTL,
-		Shards: *shards, EpochGC: *epochGC,
 	})
 	httpSrv := &http.Server{Handler: node}
 	fmt.Printf("pmtestd serving on %s (pid %d)\n", addr, os.Getpid())
@@ -139,6 +139,8 @@ func stream(args []string) {
 	sessionFile := fs.String("session-file", "", "write the session id here before streaming (feeds pmtop spans / pmtrace -remote)")
 	expectFailovers := fs.Uint64("expect-failovers", 0, "exit 1 unless the run recorded at least this many failovers")
 	rpcTimeout := fs.Duration("rpc-timeout", 5*time.Second, "deadline of each RPC, section write and wait for an ack")
+	shards := fs.Int("shards", 1, "address stripes per check, on every node and in-process (sharded checking; 1 = serial; nodes allow at most 64)")
+	epochGC := fs.Bool("epoch-gc", false, "retire long-closed shadow segments, on every node and in-process (bounds memory on streaming runs; can drop a FAIL over a retired range)")
 	obsListen := fs.String("obs-listen", "", "observability endpoint for the streaming client itself")
 	var logOpts obs.LogOptions
 	logOpts.RegisterFlags(fs)
@@ -166,7 +168,8 @@ func stream(args []string) {
 		fatal(err)
 	}
 
-	cfg := pmtest.Config{Model: pmtest.X86, Metrics: metrics, Flight: rec, Logger: logger}
+	cfg := pmtest.Config{Model: pmtest.X86, Shards: *shards, EpochGC: *epochGC,
+		Metrics: metrics, Flight: rec, Logger: logger}
 	if *nodes != "" {
 		cfg.Remote = &pmtest.RemoteConfig{
 			Nodes:      strings.Split(*nodes, ","),

@@ -10,7 +10,7 @@
 //	go run ./cmd/pmtrace -fig4      # the paper's Fig. 4 trace
 //	go run ./cmd/pmtrace -store btree
 //	go run ./cmd/pmtrace timeline flight.json   # text gantt of a -flight-out export
-//	go run ./cmd/pmtrace -remote -session pmtest-1 -nodes host:8081,host:8082
+//	go run ./cmd/pmtrace -remote -session pmtest-5f1c09e2a4b7d836-1 -nodes host:8081,host:8082
 //
 // -remote stitches a cross-node session timeline: it fetches the
 // client's spans and every node-side span the session caused (joined by

@@ -15,9 +15,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"pmtest"
 	"pmtest/internal/flight"
+	"pmtest/internal/obs"
 	"pmtest/internal/pmdk"
 	"pmtest/internal/pmem"
 	"pmtest/internal/whisper"
@@ -151,5 +153,73 @@ func TestFlightCleanRunNoCheckerSpans(t *testing.T) {
 	}
 	if errSpans := rec.Search(flight.Query{ErrOnly: true}); len(errSpans) != 0 {
 		t.Fatalf("clean run has error spans: %+v", errSpans)
+	}
+}
+
+// TestFlightGoldenBuggyPMDKDeadFleet runs TestFlightGoldenBuggyPMDK's
+// program as a remote session whose one node is down. The section is
+// checked in-process, which keeps its span identity and the session's
+// observers: the structure equals the local golden line for line, plus
+// the section's rpc span, routed to the local fallback, and the FAIL
+// reaches the session's counters.
+func TestFlightGoldenBuggyPMDKDeadFleet(t *testing.T) {
+	rec := flight.NewRecorder(64)
+	m := obs.NewMetrics(8)
+	sess := pmtest.Init(pmtest.Config{Flight: rec, Metrics: m, Remote: &pmtest.RemoteConfig{
+		Nodes: []string{"127.0.0.1:1"}, RPCTimeout: 200 * time.Millisecond, Attempts: 1}})
+	th := sess.ThreadInit()
+	th.Start()
+	s, err := whisper.NewCTree(pmem.New(1<<24, th), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Pool().SetBugs(pmdk.Bugs{SkipLogEntryFlush: true})
+	s.Pool().SetAnnotations(true)
+	s.SetCheckers(true)
+	if err := s.Insert(1, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	th.SendTrace()
+	sess.Exit()
+
+	var buf strings.Builder
+	if err := flight.WriteChrome(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := flight.ReadChrome(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := map[float64]string{}
+	for _, e := range tr.TraceEvents {
+		cat[e.Args["span_id"].(float64)] = e.Cat
+	}
+	var lines []string
+	for _, e := range tr.TraceEvents {
+		parent := "root"
+		if id, ok := e.Args["parent_span_id"].(float64); ok {
+			parent = cat[id]
+		}
+		l := fmt.Sprintf("%s/%s parent=%s", e.Cat, e.Name, parent)
+		for _, k := range []string{"ops", "tracked_ops", "fails", "begin_op", "end_op", "op_index", "severity", "error", "route"} {
+			if v, ok := e.Args[k]; ok {
+				l += fmt.Sprintf(" %s=%v", k, v)
+			}
+		}
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n")
+	const golden = `checker/order-violation parent=tx op_index=40 severity=FAIL error=true
+engine/check parent=session ops=58 tracked_ops=52 fails=1 error=true
+rpc/section parent=session error=true route=local-fallback
+session/section parent=root ops=58
+tx/tx parent=session begin_op=20 end_op=44`
+	if got != golden {
+		t.Fatalf("flight structure drifted:\n--- got ---\n%s\n--- want ---\n%s", got, golden)
+	}
+	if snap := m.Snapshot(); snap.DistFallbacks != 1 || snap.TracesChecked != 1 || snap.DiagsBySeverity["FAIL"] != 1 {
+		t.Fatalf("fallbacks=%d traces_checked=%d FAIL=%d, want 1/1/1",
+			snap.DistFallbacks, snap.TracesChecked, snap.DiagsBySeverity["FAIL"])
 	}
 }

@@ -328,10 +328,6 @@ type Options struct {
 	Attempts int
 	// Backoff shapes the retry delays (zero value = defaults).
 	Backoff Backoff
-	// TrackOnly and Excludes mirror the engine options of the session;
-	// the node and the local fallback both check under them.
-	TrackOnly bool
-	Excludes  []core.Range
 
 	// Metrics receives the dist_* robustness counters. Optional.
 	Metrics *obs.Metrics
@@ -385,16 +381,20 @@ const windowBytes = 64 << 10
 // pendingSection is one buffered, unacknowledged section: the wire
 // payload, which serves both delivery and the local check, and the
 // client section span ID (captured at Submit, since the trace may be
-// mutated concurrently) propagated for cross-node correlation. Only a
-// section without a payload, one that did not encode or is larger than
-// the whole buffer, keeps its trace: it enters only an empty buffer, so
-// it is the head for as long as it is pending, and it is never written.
-// The pump alone touches span and written.
+// mutated concurrently) propagated for cross-node correlation. txSpans
+// (nil unless a flight recorder is attached) are the section's
+// transaction spans, which the payload does not carry: the local check
+// restores them and spanID, so its spans parent as a local session's.
+// Only a section without a payload, one that did not encode or is
+// larger than the whole buffer, keeps its trace: it enters only an
+// empty buffer, so it is the head for as long as it is pending, and it
+// is never written. The pump alone touches span and written.
 type pendingSection struct {
 	seq     uint64
 	payload []byte
 	crc     uint32
 	spanID  uint64
+	txSpans []trace.SpanRange
 	tr      *trace.Trace
 	// span is the section's one client rpc span, started at its first
 	// write (or when it reaches the head unwritten).
@@ -413,12 +413,14 @@ type Session struct {
 	// opts.Nodes; only this session's traffic feeds them.
 	breakers []*breaker
 	// local checks a section in-process, exactly as an engine worker
-	// does: the ladder's last rung. Only the pump calls it, so it is
-	// never used concurrently.
+	// built from the session's spec does: the ladder's last rung. Only
+	// the pump calls it, so it is never used concurrently.
 	local *core.Worker
 	sid   string
-	rules core.RuleSet
-	rng   *rand.Rand
+	// spec is the open request that carries the same spec to a node;
+	// open stamps its StartSeq.
+	spec OpenRequest
+	rng  *rand.Rand
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -449,12 +451,15 @@ type Session struct {
 	sentBytes int
 }
 
-// Open validates the options and starts a checking session under the
-// given model, homed on a node by session-id hash. The remote side is
+// Open validates the options and starts a checking session named sid,
+// homed on a node by session-id hash. check is the session's spec: its
+// model, TrackOnly, StaticExcludes and Check configuration travel in
+// every open, and the local check is core.NewWorker(check), observer
+// and logger included (Workers does not apply). The remote side is
 // established lazily by the first section, so a dead home node costs a
 // failover, not an open error. Close the session to stop its sender
 // goroutine.
-func Open(sid string, rules core.RuleSet, opts Options) (*Session, error) {
+func Open(sid string, check core.Options, opts Options) (*Session, error) {
 	if len(opts.Nodes) == 0 {
 		return nil, fmt.Errorf("dist: no checker nodes configured")
 	}
@@ -476,16 +481,17 @@ func Open(sid string, rules core.RuleSet, opts Options) (*Session, error) {
 	if opts.sleep == nil {
 		opts.sleep = time.Sleep
 	}
-	if rules == nil {
-		rules = core.X86{}
+	if check.Rules == nil {
+		check.Rules = core.X86{}
 	}
 	h := fnv.New64a()
 	io.WriteString(h, sid)
 	s := &Session{
-		opts:    opts,
-		local:   core.NewWorker(core.Options{Rules: rules, TrackOnly: opts.TrackOnly, StaticExcludes: opts.Excludes}),
-		sid:     sid,
-		rules:   rules,
+		opts:  opts,
+		local: core.NewWorker(check),
+		sid:   sid,
+		spec: OpenRequest{Version: ProtocolVersion, Session: sid, Model: check.Rules.Name(),
+			TrackOnly: check.TrackOnly, Excludes: check.StaticExcludes, Check: check.Check},
 		rng:     rand.New(rand.NewSource(int64(h.Sum64()))),
 		nodeIdx: homeNode(sid, len(opts.Nodes)),
 		done:    make(chan struct{}),
@@ -526,7 +532,7 @@ func (s *Session) Submit(t *trace.Trace) {
 	// Encode outside the lock: a node numbers a section by its
 	// X-Pmtest-Seq header, never by the ID inside the payload.
 	payload, encErr := trace.AppendEncode(nil, t)
-	p := &pendingSection{spanID: t.SpanID}
+	p := &pendingSection{spanID: t.SpanID, txSpans: t.TxSpans}
 	if encErr == nil && int64(len(payload)) <= s.opts.bufferCap {
 		p.payload = payload
 		p.crc = crc32.ChecksumIEEE(payload)
@@ -746,7 +752,7 @@ ring:
 		if err := trace.DecodeBytes(tr, p.payload, trace.DefaultLimits); err != nil {
 			panic(fmt.Sprintf("dist: section %d does not decode from its own payload: %v", p.seq, err))
 		}
-		tr.ID = int(p.seq)
+		tr.ID, tr.SpanID, tr.TxSpans = int(p.seq), p.spanID, p.txSpans
 	}
 	return s.local.Check(tr)
 }
@@ -756,14 +762,9 @@ ring:
 func (s *Session) open(idx int, startSeq uint64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.opts.RPCTimeout)
 	defer cancel()
-	_, err := s.opts.Transport.Open(ctx, s.opts.Nodes[idx], OpenRequest{
-		Version:   ProtocolVersion,
-		Session:   s.sid,
-		Model:     s.rules.Name(),
-		TrackOnly: s.opts.TrackOnly,
-		Excludes:  s.opts.Excludes,
-		StartSeq:  startSeq,
-	})
+	req := s.spec
+	req.StartSeq = startSeq
+	_, err := s.opts.Transport.Open(ctx, s.opts.Nodes[idx], req)
 	if err != nil {
 		if m := s.opts.Metrics; m != nil {
 			m.DistRPCErrors.Add(1)

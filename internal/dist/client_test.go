@@ -120,7 +120,7 @@ func testSession(t *testing.T, sid string, nodes []string, tr Transport, mod fun
 	if mod != nil {
 		mod(&opts)
 	}
-	s, err := Open(sid, core.X86{}, opts)
+	s, err := Open(sid, core.Options{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,10 @@ func encodeSection(t *testing.T, tr *trace.Trace) ([]byte, uint32) {
 
 // TestNodeProtocol exercises the section protocol against a real node
 // over real HTTP: idempotent duplicate delivery, sequence-gap and CRC
-// rejection, unknown sessions, version and model refusal, and /healthz.
+// rejection, unknown sessions, version, model and stripe-count refusal,
+// and /healthz.
 func TestNodeProtocol(t *testing.T) {
-	addr, _, _ := startTestNode(t)
+	addr, _, node := startTestNode(t)
 	ht := &HTTPTransport{}
 	ctx := context.Background()
 
@@ -116,7 +117,7 @@ func TestNodeProtocol(t *testing.T) {
 		t.Fatalf("version 1 open: err = %v, want a refused 400 naming versions 1 and %d", err, ProtocolVersion)
 	}
 	m := obs.NewMetrics(8)
-	v1, err := Open("v1-client", core.X86{}, Options{Nodes: []string{addr}, Transport: &v1Transport{}, Attempts: 1, Metrics: m})
+	v1, err := Open("v1-client", core.Options{}, Options{Nodes: []string{addr}, Transport: &v1Transport{}, Attempts: 1, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +127,29 @@ func TestNodeProtocol(t *testing.T) {
 	}
 	if err := v1.Err(); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("version 1 session: Err() = %v, want the refusal", err)
+	}
+	// A version 2 client sends no checker configuration, so a node that
+	// ran its sessions under the defaults would check its sections under
+	// another spec than its local fallback: it is refused too.
+	_, err = ht.Open(ctx, addr, OpenRequest{Version: 2, Session: "v2", Model: "x86"})
+	if !errors.As(err, &re) || re.Status != http.StatusBadRequest || classify(err) != classRefused ||
+		!strings.Contains(re.Msg, "version 2") || !strings.Contains(re.Msg, fmt.Sprint("speaks ", ProtocolVersion)) {
+		t.Fatalf("version 2 open: err = %v, want a refused 400 naming versions 2 and %d", err, ProtocolVersion)
+	}
+	// The session chooses its stripes and epoch GC; the node bounds the
+	// stripes, refusing a larger count before it builds a worker.
+	if _, err := ht.Open(ctx, addr, OpenRequest{Version: ProtocolVersion, Session: "striped", Model: "x86",
+		Check: core.Config{Shards: 4, EpochGC: true}}); err != nil {
+		t.Fatalf("open with 4 shards and epoch GC: %v", err)
+	}
+	hosted := node.Sessions()
+	_, err = ht.Open(ctx, addr, OpenRequest{Version: ProtocolVersion, Session: "wide", Model: "x86",
+		Check: core.Config{Shards: maxShards + 1}})
+	if !errors.As(err, &re) || classify(err) != classRefused || !strings.Contains(re.Msg, fmt.Sprint(maxShards)) {
+		t.Fatalf("open with %d shards: err = %v, want a refused 400 naming the bound %d", maxShards+1, err, maxShards)
+	}
+	if n := node.Sessions(); n != hosted {
+		t.Fatalf("a refused open left the node hosting %d sessions, want %d", n, hosted)
 	}
 	// Every built-in model is accepted by name, and "" means x86; an
 	// unknown name is refused.

@@ -33,16 +33,6 @@ type NodeConfig struct {
 	// SessionTTL reaps sessions idle longer than this (default 5m), so
 	// clients that failed over away do not pin sessions forever.
 	SessionTTL time.Duration
-	// Shards enables sharded (address-striped) checking of each hosted
-	// session's sections; <= 1 checks each section on one stripe.
-	// Reports stay byte-identical either way.
-	Shards int
-	// EpochGC enables epoch-based retirement of closed shadow-memory
-	// segments in hosted sessions, bounding node memory when clients
-	// stream very long runs. Reports can differ from a serial check: a
-	// checker or flush over a retired range sees it as never written, so
-	// GC can drop a FAIL (an order-violation, say) or change a warning.
-	EpochGC bool
 
 	now func() time.Time // test hook
 	// lookedUp, when set, runs after a section request has looked up its
@@ -52,6 +42,9 @@ type NodeConfig struct {
 
 // Node hosts checking sessions behind the HTTP section protocol. One
 // Node serves many sessions; cmd/pmtestd runs one Node per process.
+// Each session is checked under the spec its open request carries
+// (model, TrackOnly, Excludes, stripes and epoch GC); the node adds
+// only its observer and logger.
 type Node struct {
 	cfg NodeConfig
 
@@ -60,6 +53,11 @@ type Node struct {
 	lastSweep time.Time
 	closed    bool
 }
+
+// maxShards bounds the stripes one open may ask for: each stripe is a
+// goroutine for as long as the session is hosted, and a node hosts up
+// to MaxSessions sessions.
+const maxShards = 64
 
 // nodeSession is one hosted checking session: the worker that checks
 // its sections, its reports, and the sequence bookkeeping that makes
@@ -175,6 +173,10 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown model %q", req.Model)
 		return
 	}
+	if req.Check.Shards > maxShards {
+		httpError(w, http.StatusBadRequest, "%d shards, node allows at most %d", req.Check.Shards, maxShards)
+		return
+	}
 
 	n.mu.Lock()
 	if n.closed {
@@ -203,7 +205,7 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 		sess = &nodeSession{
 			worker: core.NewWorker(core.Options{
 				Rules:          rules,
-				Check:          core.Config{Shards: n.cfg.Shards, EpochGC: n.cfg.EpochGC},
+				Check:          req.Check,
 				TrackOnly:      req.TrackOnly,
 				StaticExcludes: excludes,
 				Observer:       obs.Multi(n.cfg.Metrics, flight.EngineObserver(n.cfg.Flight)),
@@ -213,8 +215,8 @@ func (n *Node) handleOpen(w http.ResponseWriter, r *http.Request) {
 		}
 		n.sessions[req.Session] = sess
 		if lg := n.cfg.Logger; lg != nil {
-			lg.Info("dist session opened", "session", req.Session,
-				"model", req.Model, "start_seq", req.StartSeq)
+			lg.Info("dist session opened", "session", req.Session, "model", req.Model,
+				"shards", req.Check.Shards, "epoch_gc", req.Check.EpochGC, "start_seq", req.StartSeq)
 		}
 	}
 	sess.mu.Lock()

@@ -51,15 +51,34 @@ func optionSections() [][]trace.Op {
 	return out
 }
 
+// gcSection is a section whose report epoch GC changes: write A and B,
+// flush both, four fences, isOrderedBefore(A, B), flush A. Serial
+// checking reports FAIL order-violation and WARN duplicate-writeback;
+// with GC the fences retire both writes first, leaving WARN
+// unnecessary-writeback alone.
+func gcSection() []trace.Op {
+	const a, b = 0x20000, 0x30000
+	return []trace.Op{
+		{Kind: trace.KindWrite, Addr: a, Size: 64},
+		{Kind: trace.KindWrite, Addr: b, Size: 64},
+		{Kind: trace.KindFlush, Addr: a, Size: 64},
+		{Kind: trace.KindFlush, Addr: b, Size: 64},
+		{Kind: trace.KindFence}, {Kind: trace.KindFence}, {Kind: trace.KindFence}, {Kind: trace.KindFence},
+		{Kind: trace.KindIsOrderedBefore, Addr: a, Size: 64, Addr2: b, Size2: 64},
+		{Kind: trace.KindFlush, Addr: a, Size: 64},
+	}
+}
+
 // localDump checks sections on a local engine built from opts.
 func localDump(opts core.Options, sections [][]trace.Op) string {
 	return harness.DumpReports(harness.ReplaySections(core.NewEngine(opts), sections, 0))
 }
 
-// TestRemoteEngineOptions: a session's TrackOnly and Excludes reach the
-// node that checks its sections and the local fallback that checks them
-// when no node answers. On either path the reports equal, byte for
-// byte, a local engine's built with the same options.
+// TestRemoteEngineOptions: a session's TrackOnly, Excludes and checker
+// configuration reach the node that checks its sections and the local
+// fallback that checks them when no node answers. On either path the
+// reports equal, byte for byte, a local engine's built with the same
+// options.
 func TestRemoteEngineOptions(t *testing.T) {
 	node := dist.NewNode(dist.NodeConfig{})
 	srv := httptest.NewServer(node)
@@ -74,15 +93,15 @@ func TestRemoteEngineOptions(t *testing.T) {
 	dead := ln.Addr().String()
 	ln.Close() // connection refused from here on
 
-	sections := optionSections()
+	sections := append(optionSections(), gcSection())
 	plain := localDump(core.Options{}, sections)
 	cases := []struct {
-		name      string
-		trackOnly bool
-		excludes  []core.Range
+		name string
+		opts core.Options
 	}{
-		{"track-only", true, nil},
-		{"excludes", false, []core.Range{{Addr: hidden, Size: 64}}},
+		{"track-only", core.Options{TrackOnly: true}},
+		{"excludes", core.Options{StaticExcludes: []core.Range{{Addr: hidden, Size: 64}}}},
+		{"epoch-gc", core.Options{Check: core.Config{EpochGC: true}}},
 	}
 	fleets := []struct {
 		name string
@@ -93,22 +112,20 @@ func TestRemoteEngineOptions(t *testing.T) {
 		{"dead-fleet", dead, false},
 	}
 	for _, tc := range cases {
-		want := localDump(core.Options{TrackOnly: tc.trackOnly, StaticExcludes: tc.excludes}, sections)
+		want := localDump(tc.opts, sections)
 		if want == plain {
 			t.Fatalf("%s: the options change no report, so the case proves nothing", tc.name)
 		}
-		if tc.excludes != nil && !strings.Contains(want, "FAIL") {
+		if tc.opts.StaticExcludes != nil && !strings.Contains(want, "FAIL") {
 			t.Fatalf("%s: the excludes hide every FAIL, want only those at %#x hidden:\n%s", tc.name, hidden, want)
 		}
 		for _, fl := range fleets {
 			t.Run(tc.name+"/"+fl.name, func(t *testing.T) {
 				m := obs.NewMetrics(8)
-				s, err := dist.Open("options-"+tc.name, core.X86{}, dist.Options{
+				s, err := dist.Open("options-"+tc.name, tc.opts, dist.Options{
 					Nodes:      []string{fl.addr},
 					RPCTimeout: 2 * time.Second,
 					Attempts:   1,
-					TrackOnly:  tc.trackOnly,
-					Excludes:   tc.excludes,
 					Metrics:    m,
 				})
 				if err != nil {
@@ -158,7 +175,7 @@ func TestDeadFleetFallbackSites(t *testing.T) {
 		t.Fatalf("the local reports carry no FAIL at a captured site:\n%s", want)
 	}
 	m := obs.NewMetrics(8)
-	s, err := dist.Open("dead-fleet-sites", core.X86{}, dist.Options{
+	s, err := dist.Open("dead-fleet-sites", core.Options{}, dist.Options{
 		Nodes:      []string{dead},
 		RPCTimeout: 2 * time.Second,
 		Attempts:   1,

@@ -244,7 +244,7 @@ func TestPendingSectionsHoldOnlyPayload(t *testing.T) {
 		srv.Close()
 		node.Close()
 	})
-	s, err := Open("payload-only", core.X86{}, Options{
+	s, err := Open("payload-only", core.Options{}, Options{
 		Nodes:      []string{strings.TrimPrefix(srv.URL, "http://")},
 		RPCTimeout: 10 * time.Second,
 		Attempts:   1,

@@ -331,7 +331,7 @@ func TestWindowFailoverMidWindow(t *testing.T) {
 	home.hold = k
 	home.mu.Unlock()
 
-	s, err := Open(sid, core.X86{}, Options{
+	s, err := Open(sid, core.Options{}, Options{
 		Nodes:      []string{a.addr, b.addr},
 		Transport:  log,
 		RPCTimeout: 5 * time.Second,
@@ -400,7 +400,7 @@ func TestWindowAckDeadline(t *testing.T) {
 	w.hold = 0
 	w.mu.Unlock()
 	m := obs.NewMetrics(8)
-	s, err := Open("deadline", core.X86{}, Options{
+	s, err := Open("deadline", core.Options{}, Options{
 		Nodes:      []string{w.addr},
 		RPCTimeout: timeout,
 		Backoff:    Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
@@ -463,7 +463,7 @@ func TestWindowLargeReports(t *testing.T) {
 		node.Close()
 	})
 	m := obs.NewMetrics(8)
-	s, err := Open("large-reports", core.X86{}, Options{
+	s, err := Open("large-reports", core.Options{}, Options{
 		Nodes:      []string{strings.TrimPrefix(srv.URL, "http://")},
 		RPCTimeout: 3 * time.Second,
 		Attempts:   1,

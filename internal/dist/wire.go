@@ -12,17 +12,21 @@
 //
 // One type is the client: Open returns a Session, which homes on a node
 // by session-id hash and owns everything its delivery needs. The
+// session's check spec, one core.Options, is decided by its caller: the
+// session sends it in every open (protocol version 3), each node builds
+// the session's worker from that request alone, and the local check is
+// a core.Worker built from the same spec, observer and logger included,
+// so a report does not depend on which of them checked the section. The
 // robustness layer is the point of the package: per-RPC deadlines,
 // capped exponential backoff with jitter, one circuit breaker per node
 // in each session (fed by that session's traffic alone; there is no
 // background health prober), failover that replays buffered
 // unacknowledged sections on a healthy node, and graceful degradation
-// to a local in-process check, through the same core.Worker a node
-// session runs, when every node is down or one refuses a section. The
-// buffer holds each section as its encoded payload alone, which the
-// local check decodes as a node does. A section that does not encode,
-// or that is larger than the session's 16 MiB buffer, keeps its trace
-// and takes that local check without being sent. Every section gets
+// to that local check when every node is down or one refuses a
+// section. The buffer holds each section as its encoded payload alone,
+// which the local check decodes as a node does. A section that does not
+// encode, or that is larger than the session's 16 MiB buffer, keeps its
+// trace and takes that local check without being sent. Every section gets
 // exactly one report, in seq order, and every degradation step is
 // observable through obs counters (dist_retries, dist_failovers,
 // dist_fallbacks, dist_buffered_bytes, ...).
@@ -40,10 +44,12 @@ import (
 )
 
 // ProtocolVersion stamps OpenRequest so a node refuses a client speaking
-// a different section protocol instead of misinterpreting it. Version 2
-// acks a section with a binary report (appendReport); version 1 acked
-// it with JSON.
-const ProtocolVersion = 2
+// a different section protocol instead of misinterpreting it. Version 3
+// carries the session's checker configuration in OpenRequest.Check, so
+// an older node refuses the open rather than check without it; version
+// 2 acks a section with a binary report (appendReport), and version 1
+// acked it with JSON.
+const ProtocolVersion = 3
 
 // HTTP routes a checker node serves.
 const (
@@ -75,15 +81,20 @@ const (
 )
 
 // OpenRequest establishes (or idempotently re-establishes) a checking
-// session on a node. StartSeq is the sequence number of the first
-// section this node will receive — 0 for a fresh session, the head of
-// the client's unacknowledged buffer after a failover.
+// session on a node. It carries the session's whole check spec: the
+// model, TrackOnly, Excludes and the checker configuration (stripes,
+// epoch GC, GC lag), from which the node builds the session's worker
+// alone, so a node checks every section as the session's local check
+// does. StartSeq is the sequence number of the first section this node
+// will receive — 0 for a fresh session, the head of the client's
+// unacknowledged buffer after a failover.
 type OpenRequest struct {
 	Version   int          `json:"version"`
 	Session   string       `json:"session"`
 	Model     string       `json:"model"`
 	TrackOnly bool         `json:"track_only,omitempty"`
 	Excludes  []core.Range `json:"excludes,omitempty"`
+	Check     core.Config  `json:"check"`
 	StartSeq  uint64       `json:"start_seq"`
 }
 

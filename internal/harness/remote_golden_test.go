@@ -56,7 +56,7 @@ func localDump(sections [][]trace.Op) string {
 func goldenSession(t *testing.T, sid string, nodes []string) (*dist.Session, *obs.Metrics) {
 	t.Helper()
 	m := obs.NewMetrics(8)
-	s, err := dist.Open(sid, core.X86{}, dist.Options{
+	s, err := dist.Open(sid, core.Options{Rules: core.X86{}}, dist.Options{
 		Nodes:      nodes,
 		RPCTimeout: 2 * time.Second,
 		Attempts:   2,

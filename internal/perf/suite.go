@@ -180,7 +180,7 @@ func runDist(b Budget, res *Result, logf func(string, ...any)) error {
 		}
 	}
 	open := func(sid string, m *obs.Metrics, nodes ...string) *dist.Session {
-		sess, err := dist.Open(sid, core.X86{}, dist.Options{Nodes: nodes, Metrics: m,
+		sess, err := dist.Open(sid, core.Options{}, dist.Options{Nodes: nodes, Metrics: m,
 			Backoff: dist.Backoff{Base: 2 * time.Millisecond, Max: 20 * time.Millisecond}})
 		if err != nil {
 			panic(err) // Open only fails without nodes

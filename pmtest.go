@@ -35,6 +35,8 @@
 package pmtest
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
@@ -97,21 +99,26 @@ var (
 type Config struct {
 	// Model selects the persistency model; defaults to X86.
 	Model RuleSet
-	// Workers sets the number of checking worker goroutines; defaults
-	// to 1, the paper's default (§6.1).
+	// Workers sets the number of checking worker goroutines of a local
+	// engine; defaults to 1, the paper's default (§6.1). It does not
+	// apply to a remote session, whose sections are checked one at a
+	// time in send order.
 	Workers int
 	// Shards is the number of address stripes each worker's checker
 	// splits shadow memory into, each checked on its own goroutine, with
 	// fences broadcast as epoch barriers. Reports are byte-identical to
 	// one stripe's. <= 1 (the default) checks each trace on one stripe,
-	// on the worker's goroutine.
+	// on the worker's goroutine. A remote session's nodes and its local
+	// check use it too. A node refuses more than 64, and such a session
+	// checks every section in-process, with the refusal on Err.
 	Shards int
 	// EpochGC retires shadow-memory segments whose intervals closed more
 	// than a lag of epochs ago, bounding checker memory over long
 	// streaming runs. Composes with Shards, and works on one stripe too.
 	// Reports can differ from a run without it: a checker or flush over
 	// a retired range sees it as never written, so GC can drop a FAIL
-	// (an order-violation, say) or change a warning.
+	// (an order-violation, say) or change a warning. A remote session's
+	// nodes and its local check use it too, so every path reports alike.
 	EpochGC bool
 	// TrackOnly records and ships traces but skips checker validation;
 	// used to measure framework overhead in isolation (Fig. 10b).
@@ -140,6 +147,9 @@ type Config struct {
 	// of recent trace events. Snapshot it with (*Session).Stats, or mount
 	// obs.Handler(cfg.Metrics) to scrape it over HTTP. When nil (the
 	// default), no timestamps are taken and the hot path is unchanged.
+	// On a remote session it also receives the dist_* counters, and its
+	// traces_* and diags_* count only the sections checked in-process;
+	// each node's own snapshot counts the sections it checked.
 	Metrics *obs.Metrics
 	// Observer, when non-nil, additionally receives raw per-trace
 	// lifecycle events (TraceSubmitted / TraceDequeued / TraceChecked) —
@@ -154,30 +164,34 @@ type Config struct {
 	// nil the tracking hot path gains only a nil check per op.
 	Flight *flight.Recorder
 	// Logger, when non-nil, receives structured leveled log records from
-	// the session and its engine. Every record carries one "session"
-	// attribute: the session's ID, or its SID on the records of a remote
-	// session's dist client. Engine records add trace_id/span_id,
-	// correlating log lines with flight spans. When nil nothing is
-	// logged and nothing is paid.
+	// the session, its engine and, on a remote session, its dist client
+	// and local check. Every record carries one "session" attribute: the
+	// session's SID. Engine records add trace_id/span_id, correlating log
+	// lines with flight spans. When nil nothing is logged and nothing is
+	// paid.
 	Logger *slog.Logger
 	// Remote, when non-nil, streams trace sections to pmtestd checker
 	// nodes instead of a local engine. Decoupled checking makes the two
-	// paths equivalent: a section is a self-contained unit of work, so
-	// the reports are byte-identical to a local run — including across
-	// node failures, which the client absorbs with retries, failover and
-	// a local fallback check. Degradation is visible in Stats as the
-	// dist_* counters.
+	// paths equivalent: a section is a self-contained unit of work, and
+	// every node and the local fallback check it under this Config's
+	// Model, TrackOnly, StaticExcludes, Shards and EpochGC, so the
+	// reports are byte-identical to a local run under the same Config —
+	// including across node failures, which the client absorbs with
+	// retries, failover and a local fallback check. Degradation is
+	// visible in Stats as the dist_* counters.
 	Remote *RemoteConfig
 }
 
 // RemoteConfig selects and tunes the distributed checking tier. The
-// session homes on one node by session-ID hash and keeps one circuit
+// session homes on one node by its SID's hash and keeps one circuit
 // breaker per node, fed by its own traffic alone; there is no background
-// health prober. It buffers up to 16 MiB of unacknowledged sections, and
-// at that cap SendTrace blocks. Every section gets exactly one report,
-// in send order: from a node, or from the in-process check that takes a
-// section no node accepts, one that does not encode, and one larger
-// than the whole buffer.
+// health prober. Each open carries the session's check spec, and a node
+// checks the session's sections under it alone. The session buffers up
+// to 16 MiB of unacknowledged sections, and at that cap SendTrace
+// blocks. Every section gets exactly one report, in send order: from a
+// node, or from the in-process check, built from the same spec and
+// observed like a local engine, that takes a section no node accepts,
+// one that does not encode, and one larger than the whole buffer.
 type RemoteConfig struct {
 	// Nodes are the pmtestd node addresses (host:port). Sessions shard
 	// across them by session-id hash and fail over around the ring.
@@ -212,12 +226,11 @@ type backend interface {
 // one per program under test with Init; release it with Exit.
 type Session struct {
 	cfg     Config
-	id      uint64
-	sid     string // "pmtest-<id>": the correlation name (see SID)
+	sid     string // the session's one name (see SID)
 	engine  backend
 	sharing *core.SharingAnalyzer
 	metrics *obs.Metrics // nil when observability is off
-	logger  *slog.Logger // nil when logging is off; carries the session ID
+	logger  *slog.Logger // nil when logging is off; carries the SID
 	// recording mirrors cfg.RecordTo != nil so the SendTrace fast path
 	// can skip the session lock entirely; it flips off permanently after
 	// an encode failure.
@@ -236,11 +249,21 @@ type Var struct {
 	Size uint64
 }
 
-// sessionIDs hands out process-unique session identifiers for log
-// correlation.
+// processID is drawn once per process from crypto/rand, so SIDs of
+// sessions in different processes differ even where their counters
+// agree: two programs sharing a fleet never share a node session.
+var processID = func() string {
+	var b [8]byte
+	rand.Read(b[:]) // returns no error: it ends the program if the OS has no randomness
+	return hex.EncodeToString(b[:])
+}()
+
+// sessionIDs numbers the sessions of this process.
 var sessionIDs atomic.Uint64
 
 // Init creates a session and starts its checking engine (PMTest_INIT).
+// It decides the session's name and check spec once: the local engine,
+// or a remote session's nodes and its local check, all use both.
 func Init(cfg Config) *Session {
 	if cfg.Model == nil {
 		cfg.Model = X86
@@ -248,10 +271,10 @@ func Init(cfg Config) *Session {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	id := sessionIDs.Add(1)
+	sid := fmt.Sprintf("pmtest-%s-%d", processID, sessionIDs.Add(1))
 	var logger *slog.Logger
 	if cfg.Logger != nil {
-		logger = cfg.Logger.With("session", id)
+		logger = cfg.Logger.With("session", sid)
 	}
 	excludes := make([]core.Range, len(cfg.StaticExcludes))
 	for i, v := range cfg.StaticExcludes {
@@ -262,19 +285,28 @@ func Init(cfg Config) *Session {
 	}
 	s := &Session{
 		cfg:     cfg,
-		id:      id,
-		sid:     fmt.Sprintf("pmtest-%d", id),
+		sid:     sid,
 		metrics: cfg.Metrics,
 		logger:  logger,
 		vars:    make(map[string]Var),
 	}
+	// Fan lifecycle events out to the metrics registry, any custom
+	// observer and the flight recorder; Multi returns nil when none is
+	// set, preserving the engine's uninstrumented fast path.
+	check := core.Options{
+		Rules:          cfg.Model,
+		Workers:        cfg.Workers,
+		Check:          core.Config{Shards: cfg.Shards, EpochGC: cfg.EpochGC},
+		TrackOnly:      cfg.TrackOnly,
+		StaticExcludes: excludes,
+		Observer:       obs.Multi(cfg.Metrics, cfg.Observer, flight.EngineObserver(cfg.Flight)),
+		Logger:         logger,
+	}
 	if r := cfg.Remote; r != nil {
-		remote, err := dist.Open(s.sid, cfg.Model, dist.Options{
+		remote, err := dist.Open(sid, check, dist.Options{
 			Nodes:      r.Nodes,
 			RPCTimeout: r.RPCTimeout,
 			Attempts:   r.Attempts,
-			TrackOnly:  cfg.TrackOnly,
-			Excludes:   excludes,
 			Metrics:    cfg.Metrics,
 			Flight:     cfg.Flight,
 			// The client stamps its records with the SID itself.
@@ -293,18 +325,7 @@ func Init(cfg Config) *Session {
 		}
 	}
 	if s.engine == nil {
-		// Fan lifecycle events out to the metrics registry, any custom
-		// observer and the flight recorder; Multi returns nil when none
-		// is set, preserving the engine's uninstrumented fast path.
-		eng := core.NewEngine(core.Options{
-			Rules:          cfg.Model,
-			Workers:        cfg.Workers,
-			Check:          core.Config{Shards: cfg.Shards, EpochGC: cfg.EpochGC},
-			TrackOnly:      cfg.TrackOnly,
-			StaticExcludes: excludes,
-			Observer:       obs.Multi(cfg.Metrics, cfg.Observer, flight.EngineObserver(cfg.Flight)),
-			Logger:         logger,
-		})
+		eng := core.NewEngine(check)
 		s.engine = eng
 		if cfg.Metrics != nil {
 			cfg.Metrics.SetStripeDepthFn(eng.StripeDepths)
@@ -340,19 +361,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ID returns the session's process-unique identifier — the "session"
-// attribute on every log record the session and its engine emit. The
-// records of a remote session's dist client carry the SID as their
-// "session" attribute instead.
-func (s *Session) ID() uint64 { return s.id }
-
-// SID returns the session's correlation name, "pmtest-<id>": the
-// session ID a remote checking session registers on pmtestd nodes and
-// the "session" attribute stamped on the session's flight spans. A
-// fleet-wide span search for this name (attr session=<sid> on the
-// client, attr remote_session_id=<sid> on nodes) finds everything the
-// session caused; `pmtrace -remote -session <sid>` stitches it into
-// one timeline.
+// SID returns the session's one name, "pmtest-<process>-<n>": 16 hex
+// digits drawn once per process from crypto/rand, then the session's
+// number in the process, so no two processes share a name. It is the
+// session ID a remote checking session registers on pmtestd nodes, the
+// "session" attribute of every log record the session emits and of its
+// flight spans. A fleet-wide span search for this name (attr
+// session=<sid> on the client, attr remote_session_id=<sid> on nodes)
+// finds everything the session caused; `pmtrace -remote -session <sid>`
+// stitches it into one timeline.
 func (s *Session) SID() string { return s.sid }
 
 // Exit drains outstanding traces, stops the engine and returns all

@@ -6,7 +6,10 @@ import (
 	"log/slog"
 	"net"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +103,12 @@ func TestRemoteConfigUnreachableDegrades(t *testing.T) {
 	snap := m.Snapshot()
 	if snap.DistFallbacks != 2 {
 		t.Fatalf("fallbacks = %d, want 2", snap.DistFallbacks)
+	}
+	// The in-process check is observed like a local engine: its sections
+	// and their FAIL reach the session's counters.
+	if snap.TracesChecked != 2 || snap.DiagsBySeverity["FAIL"] != 1 {
+		t.Fatalf("traces_checked = %d, FAIL = %d; want 2 and 1 as a local session counts them",
+			snap.TracesChecked, snap.DiagsBySeverity["FAIL"])
 	}
 }
 
@@ -290,8 +299,8 @@ func TestRemoteLocalCheckReopens(t *testing.T) {
 
 // TestRemoteLogSessionAttr: every record of a remote session whose
 // node dies mid-run (a failover) and whose fleet is then down (a local
-// check) carries exactly one "session" attribute: the dist client's
-// records SID(), the session's own records ID().
+// check) carries exactly one "session" attribute, SID(): the dist
+// client's records, the local check's and the session's own.
 func TestRemoteLogSessionAttr(t *testing.T) {
 	node := dist.NewNode(dist.NodeConfig{})
 	srv := httptest.NewServer(node)
@@ -339,11 +348,7 @@ func TestRemoteLogSessionAttr(t *testing.T) {
 				vals = append(vals, a.Value.String())
 			}
 		}
-		want := sess.SID()
-		if !strings.HasPrefix(r.msg, "dist ") {
-			want = fmt.Sprint(sess.ID())
-		}
-		if len(vals) != 1 || vals[0] != want {
+		if want := sess.SID(); len(vals) != 1 || vals[0] != want {
 			t.Errorf("record %q: session attributes %q, want [%s]", r.msg, vals, want)
 		}
 		seen[r.msg] = true
@@ -352,5 +357,143 @@ func TestRemoteLogSessionAttr(t *testing.T) {
 		if !seen[msg] {
 			t.Errorf("no %q record", msg)
 		}
+	}
+}
+
+// gcSensitiveSection sends the ten-op section whose report epoch GC
+// changes: write A and B, flush both, four fences, isOrderedBefore(A,
+// B), flush A. Serial checking reports FAIL order-violation and WARN
+// duplicate-writeback; with GC the fences retire both writes first,
+// leaving WARN unnecessary-writeback alone.
+func gcSensitiveSection(th *Thread, a uint64) {
+	b := a + 0x1000
+	th.Write(a, 64)
+	th.Write(b, 64)
+	th.Flush(a, 64)
+	th.Flush(b, 64)
+	for i := 0; i < 4; i++ {
+		th.Fence()
+	}
+	th.IsOrderedBefore(a, 64, b, 64)
+	th.Flush(a, 64)
+	th.SendTrace()
+}
+
+// TestRemoteHonorsCheckConfig: a remote session checks its sections
+// under its own Config's Shards and EpochGC on every path: on a live
+// node, in the local check of a dead fleet, and on both sides of a node
+// killed after the first section. Its reports equal a local session's
+// under the same Config.
+func TestRemoteHonorsCheckConfig(t *testing.T) {
+	run := func(sess *Session, afterFirst func()) []Report {
+		th := sess.ThreadInit()
+		th.Start()
+		gcSensitiveSection(th, 0x10000)
+		sess.GetResult()
+		afterFirst()
+		gcSensitiveSection(th, 0x20000)
+		return sess.Exit()
+	}
+	// The witness: epoch GC changes this trace's report, so a path that
+	// ignores the session's EpochGC shows. Once epoch GC is made
+	// report-invariant (ROADMAP), GC on and off report alike here, and
+	// this test needs another witness of a spec that reaches the node.
+	off := run(Init(Config{}), func() {})
+	for _, cfg := range []Config{{EpochGC: true}, {Shards: 4, EpochGC: true}} {
+		want := run(Init(cfg), func() {})
+		if reflect.DeepEqual(want, off) {
+			t.Fatalf("%+v: the local reports equal GC off's, so the case proves nothing:\n%s", cfg, Summarize(want))
+		}
+		for _, path := range []string{"live", "dead-fleet", "killed"} {
+			t.Run(fmt.Sprintf("shards%d-gc/%s", max(cfg.Shards, 1), path), func(t *testing.T) {
+				node := dist.NewNode(dist.NodeConfig{})
+				srv := httptest.NewServer(node)
+				t.Cleanup(func() {
+					srv.Close()
+					node.Close()
+				})
+				addr, kill := strings.TrimPrefix(srv.URL, "http://"), func() {}
+				sent, fallbacks := uint64(2), uint64(0)
+				switch path {
+				case "dead-fleet":
+					addr, sent, fallbacks = "127.0.0.1:1", 0, 2
+				case "killed":
+					kill = func() {
+						srv.CloseClientConnections()
+						srv.Close()
+					}
+					sent, fallbacks = 1, 1
+				}
+				m := obs.NewMetrics(8)
+				rc := cfg
+				rc.Metrics = m
+				rc.Remote = &RemoteConfig{Nodes: []string{addr}, RPCTimeout: time.Second, Attempts: 1}
+				if got := run(Init(rc), kill); !reflect.DeepEqual(got, want) {
+					t.Fatalf("remote reports differ from a local session's:\nlocal:\n%s\nremote:\n%s", Summarize(want), Summarize(got))
+				}
+				if snap := m.Snapshot(); snap.DistSectionsSent != sent || snap.DistFallbacks != fallbacks {
+					t.Fatalf("sent=%d fallbacks=%d, want %d/%d", snap.DistSectionsSent, snap.DistFallbacks, sent, fallbacks)
+				}
+			})
+		}
+	}
+}
+
+// TestSessionNamesUniqueAcrossProcesses: two programs checking on one
+// fleet never share a node session. The test binary runs itself twice,
+// as two child processes streaming to one node. The first sends a
+// section that FAILs and ends without Exit, like a crashed program, so
+// its node session stays open; the second sends a clean section, and
+// its report must be clean. Were a session named by a per-process
+// counter alone, both would be the process's first session under one
+// name, and the node would answer the second child's first section
+// with the first child's stored FAIL.
+func TestSessionNamesUniqueAcrossProcesses(t *testing.T) {
+	if mode := os.Getenv("PMTEST_SID_CHILD"); mode != "" {
+		sess := Init(Config{Remote: &RemoteConfig{Nodes: []string{os.Getenv("PMTEST_SID_NODE")}}})
+		th := sess.ThreadInit()
+		th.Start()
+		if mode == "crash" {
+			th.Write(0x10, 8)
+			th.IsPersist(0x10, 8)
+			th.SendTrace()
+			fmt.Printf("sid %s\nreports %s\n", sess.SID(), Summarize(sess.GetResult()))
+			return // no Exit: the node keeps the session
+		}
+		th.Write(0x40, 8)
+		th.Flush(0x40, 8)
+		th.Fence()
+		th.IsPersist(0x40, 8)
+		th.SendTrace()
+		fmt.Printf("sid %s\nreports %s\n", sess.SID(), Summarize(sess.Exit()))
+		return
+	}
+	node := dist.NewNode(dist.NodeConfig{})
+	srv := httptest.NewServer(node)
+	t.Cleanup(func() {
+		srv.Close()
+		node.Close()
+	})
+	line := regexp.MustCompile(`(?s)sid (\S+)\nreports (.*?)\n(PASS|$)`)
+	var sids, reports []string
+	for _, mode := range []string{"crash", "clean"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSessionNamesUniqueAcrossProcesses$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "PMTEST_SID_CHILD="+mode, "PMTEST_SID_NODE="+strings.TrimPrefix(srv.URL, "http://"))
+		out, err := cmd.CombinedOutput()
+		m := line.FindSubmatch(out)
+		if err != nil || m == nil {
+			t.Fatalf("%s child: %v\n%s", mode, err, out)
+		}
+		sids, reports = append(sids, string(m[1])), append(reports, string(m[2]))
+	}
+	if !strings.Contains(reports[0], "1 FAIL") || !strings.Contains(reports[1], "0 FAIL, 0 WARN") {
+		t.Fatalf("reports: crashed child\n%s\nclean child\n%s\nwant one FAIL, then a clean report", reports[0], reports[1])
+	}
+	form := regexp.MustCompile(`^pmtest-[0-9a-f]{16}-[0-9]+$`)
+	if sids[0] == sids[1] || !form.MatchString(sids[0]) || !form.MatchString(sids[1]) {
+		t.Fatalf("session names %q and %q, want two distinct pmtest-<16 hex digits>-<n>", sids[0], sids[1])
+	}
+	if n := node.Sessions(); n != 1 {
+		t.Fatalf("node hosts %d sessions, want the crashed child's alone", n)
 	}
 }
